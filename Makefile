@@ -45,8 +45,11 @@ lintgraph:
 # bench emits the machine-readable perf trajectory: raw `go test -bench`
 # output is kept in BENCH_raw.txt and parsed into $(BENCHOUT) by
 # cmd/benchjson. Two steps (not a pipe) so a bench failure fails the target.
+# The packages are the end-to-end benches (root) and every package that has
+# layer microbenches: the tracer, engine (sim), checksums (inet), messages
+# (msg), fbufs and the codec (mpeg).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/pathtrace ./internal/sim > BENCH_raw.txt
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/pathtrace ./internal/sim ./internal/proto/inet ./internal/msg ./internal/fbuf ./internal/mpeg > BENCH_raw.txt
 	$(GO) run ./cmd/benchjson -in BENCH_raw.txt -out $(BENCHOUT)
 
 # benchdiff gates the perf trajectory: the committed candidate artifact must

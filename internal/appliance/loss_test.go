@@ -1,6 +1,7 @@
 package appliance
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"scout/internal/proto/inet"
 	"scout/internal/proto/ip"
 	"scout/internal/proto/mflow"
+	"scout/internal/proto/udp"
 	"scout/internal/routers"
 	"scout/internal/sim"
 )
@@ -264,5 +266,62 @@ func TestReassemblyEvictsOversizedEntry(t *testing.T) {
 	st := k.IP.Stats()
 	if st.ReasmOverflows != 1 {
 		t.Fatalf("ReasmOverflows=%d, want the oversized entry evicted once", st.ReasmOverflows)
+	}
+}
+
+// sendSpoofedMFLOWData hand-builds one MFLOW data packet that claims to come
+// from addr:7000 and sends it straight to the kernel's MAC. No ARP exchange
+// precedes it, so the kernel learns nothing about where addr lives.
+func sendSpoofedMFLOWData(eng *sim.Engine, h *host.Host, k *Kernel, addr inet.Addr, dstPort uint16, seq uint32) {
+	alf := mpeg.TracePackets(seq-1, mpeg.FrameInfo{Kind: mpeg.FrameP, Bits: 800}, 4, 3, 0)[0].Marshal()
+	dg := make([]byte, udp.HeaderLen+mflow.HeaderLen+len(alf))
+	udp.Header{SrcPort: 7000, DstPort: dstPort, Length: uint16(len(dg))}.Put(dg)
+	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(eng.Now())}.Put(dg[udp.HeaderLen:])
+	copy(dg[udp.HeaderLen+mflow.HeaderLen:], alf)
+	ck := inet.ChecksumPseudo(addr, k.Cfg.Addr, inet.ProtoUDP, dg)
+	if ck == 0 {
+		ck = 0xffff
+	}
+	binary.BigEndian.PutUint16(dg[6:8], ck)
+	pkt := make([]byte, ip.HeaderLen+len(dg))
+	ip.Header{TotalLen: uint16(len(pkt)), ID: uint16(seq), TTL: 64, Proto: inet.ProtoUDP, Src: addr, Dst: k.Cfg.Addr}.Put(pkt)
+	copy(pkt[ip.HeaderLen:], dg)
+	h.SendFrame(k.Cfg.MAC, inet.EtherTypeIP, pkt)
+}
+
+// Regression: an ack refused by IP — pending queue full while ARP resolves,
+// then next hop unresolvable once ARP gives up — is freed by IP alone. MFLOW
+// used to free it a second time and panic with "msg: double free".
+func TestAckRefusedByIPIsFreedOnce(t *testing.T) {
+	eng, k, h := bootPair(t, netdev.LinkConfig{}, DefaultConfig())
+	ghost := inet.IP(10, 0, 0, 99) // nobody answers ARP for it
+	p, lport, err := k.CreateVideoPath(&VideoAttrs{
+		Source:    inet.Participants{RemoteAddr: ghost, RemotePort: 7000},
+		FPS:       30,
+		CostModel: true,
+		QueueLen:  64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := k.IP.PendingLimit
+	const early, late = 20, 5
+	for seq := uint32(1); seq <= early; seq++ {
+		eng.At(sim.Time(time.Duration(seq)*time.Millisecond), func() { sendSpoofedMFLOWData(eng, h, k, ghost, lport, seq) })
+	}
+	eng.RunUntil(sim.Time(time.Minute)) // long enough for ARP to give up
+	for seq := uint32(early + 1); seq <= early+late; seq++ {
+		eng.At(eng.Now().Add(time.Duration(seq)*time.Millisecond), func() { sendSpoofedMFLOWData(eng, h, k, ghost, lport, seq) })
+	}
+	eng.RunFor(time.Second)
+	st, ok := mflow.StatsOf(p, "MFLOW")
+	if !ok {
+		t.Fatal("no MFLOW stats")
+	}
+	if st.Delivered != early+late {
+		t.Fatalf("delivered %d of %d packets", st.Delivered, early+late)
+	}
+	if st.AcksSent <= int64(limit)+late {
+		t.Fatalf("only %d acks sent: the ARP pending queue (limit %d) never overflowed", st.AcksSent, limit)
 	}
 }

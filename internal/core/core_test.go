@@ -804,9 +804,44 @@ func TestDestroyIdempotentAndDrains(t *testing.T) {
 			t.Fatalf("q[%d] still holds %d items", qi, q.Len())
 		}
 	}
-	if err := p.Inject(FWD, msg.New([]byte("x"))); err != ErrPathDead {
+	m := msg.New([]byte("x"))
+	if err := p.Inject(FWD, m); err != ErrPathDead {
 		t.Fatalf("inject on dead path err = %v, want ErrPathDead", err)
 	}
+	mustBeFreed(t, m, "Inject on a dead path")
+}
+
+// mustBeFreed checks that a delivery error left m freed: the Deliver*
+// ownership rule says callers never free after an error, so a message the
+// plumbing refused must not stay live.
+func mustBeFreed(t *testing.T, m *msg.Msg, what string) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s returned an error but left the message live", what)
+		}
+	}()
+	m.Free() // panics with "msg: double free" when already freed
+}
+
+func TestDeliveryErrorsFreeTheMessage(t *testing.T) {
+	lone := NewNetIface(nil)
+	m := msg.New([]byte("x"))
+	if err := lone.DeliverNext(m); err != ErrEndOfPath {
+		t.Fatalf("DeliverNext past the end err = %v, want ErrEndOfPath", err)
+	}
+	mustBeFreed(t, m, "DeliverNext past the end")
+	m = msg.New([]byte("x"))
+	if err := lone.DeliverBack(m); err != ErrEndOfPath {
+		t.Fatalf("DeliverBack past the end err = %v, want ErrEndOfPath", err)
+	}
+	mustBeFreed(t, m, "DeliverBack past the end")
+	lone.Next = NewNetIface(nil) // a neighbour without a deliver function
+	m = msg.New([]byte("x"))
+	if err := lone.DeliverNext(m); err == nil {
+		t.Fatal("DeliverNext to an iface without Deliver succeeded")
+	}
+	mustBeFreed(t, m, "DeliverNext to an iface without Deliver")
 }
 
 type countingFreer struct{ n *int }

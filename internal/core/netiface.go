@@ -47,22 +47,16 @@ func NewNetIface(deliver func(i *NetIface, m *msg.Msg) error) *NetIface {
 }
 
 // DeliverNext passes m to the next interface in this interface's direction.
+//
+// Ownership rule for every Deliver, DeliverNext, DeliverBack and Inject: an
+// error return means m has already been freed — by the stage that failed, or
+// here when there is no stage to hand it to. Callers never free m after an
+// error; doing so double-frees.
 func (i *NetIface) DeliverNext(m *msg.Msg) error {
 	if n := i.fastNext; n != nil {
 		return n.Deliver(n, m)
 	}
-	nx := i.Next
-	if nx == nil {
-		return ErrEndOfPath
-	}
-	ni, ok := nx.(*NetIface)
-	if !ok {
-		return errors.New("core: next interface is not a NetIface")
-	}
-	if ni.Deliver == nil {
-		return errors.New("core: next interface has no deliver function")
-	}
-	return ni.Deliver(ni, m)
+	return deliverTo(i.Next, m, "next")
 }
 
 // DeliverBack turns m around: it passes it to the next interface in the
@@ -71,16 +65,24 @@ func (i *NetIface) DeliverBack(m *msg.Msg) error {
 	if b := i.fastBack; b != nil {
 		return b.Deliver(b, m)
 	}
-	bk := i.Back
-	if bk == nil {
+	return deliverTo(i.Back, m, "back")
+}
+
+// deliverTo hands m to the neighbouring interface nb, freeing m when there is
+// none that can take it.
+func deliverTo(nb Iface, m *msg.Msg, which string) error {
+	if nb == nil {
+		m.Free()
 		return ErrEndOfPath
 	}
-	ni, ok := bk.(*NetIface)
+	ni, ok := nb.(*NetIface)
 	if !ok {
-		return errors.New("core: back interface is not a NetIface")
+		m.Free()
+		return errors.New("core: " + which + " interface is not a NetIface")
 	}
 	if ni.Deliver == nil {
-		return errors.New("core: back interface has no deliver function")
+		m.Free()
+		return errors.New("core: " + which + " interface has no deliver function")
 	}
 	return ni.Deliver(ni, m)
 }
@@ -90,6 +92,7 @@ func (i *NetIface) DeliverBack(m *msg.Msg) error {
 // input queue use this as the generic "evaluate g(m)" entry point (§2.1).
 func (p *Path) Inject(d Direction, m *msg.Msg) error {
 	if p.dead {
+		m.Free()
 		return ErrPathDead
 	}
 	var first *Stage
@@ -102,9 +105,11 @@ func (p *Path) Inject(d Direction, m *msg.Msg) error {
 		if iface := first.End[d]; iface != nil {
 			ni, ok := iface.(*NetIface)
 			if !ok {
+				m.Free()
 				return errors.New("core: Inject requires NetIface stages")
 			}
 			if ni.Deliver == nil {
+				m.Free()
 				return errors.New("core: first interface has no deliver function")
 			}
 			err := ni.Deliver(ni, m)
@@ -117,6 +122,7 @@ func (p *Path) Inject(d Direction, m *msg.Msg) error {
 		// interface in this direction; skip inward.
 		first = p.nextStage(first, d)
 	}
+	m.Free()
 	return ErrEndOfPath
 }
 

@@ -80,6 +80,7 @@ type Device struct {
 	cpu   *sched.Sched
 	sinks []*Sink
 	tick  *sim.Ticker
+	drain func() // d.serviceAll, bound once so a vsync allocates nothing
 
 	// VsyncIRQCost is charged per vsync interrupt.
 	VsyncIRQCost time.Duration
@@ -95,6 +96,7 @@ func New(eng *sim.Engine, cpu *sched.Sched, w, h, hz int) *Device {
 		panic("display: refresh rate must be positive")
 	}
 	d := &Device{W: w, H: h, RefreshHz: hz, eng: eng, cpu: cpu, fb: make([]byte, w*h)}
+	d.drain = d.serviceAll
 	period := time.Duration(int64(time.Second) / int64(hz))
 	d.tick = eng.Tick(period, d.vsync)
 	return d
@@ -136,16 +138,17 @@ func (d *Device) Vsyncs() int64 { return d.vsyncs }
 // sink.
 func (d *Device) vsync() {
 	d.vsyncs++
-	work := func() {
-		now := d.eng.Now()
-		for _, s := range d.sinks {
-			d.service(s, now)
-		}
-	}
 	if d.cpu != nil {
-		d.cpu.Interrupt(d.VsyncIRQCost, work)
+		d.cpu.Interrupt(d.VsyncIRQCost, d.drain)
 	} else {
-		work()
+		d.serviceAll()
+	}
+}
+
+func (d *Device) serviceAll() {
+	now := d.eng.Now()
+	for _, s := range d.sinks {
+		d.service(s, now)
 	}
 }
 

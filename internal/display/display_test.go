@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scout/internal/core"
+	"scout/internal/sched"
 	"scout/internal/sim"
 )
 
@@ -171,5 +172,21 @@ func TestDoneSinkKeepsDraining(t *testing.T) {
 	}
 	if s.Displayed() != 0 || s.Missed() != 3 {
 		t.Fatalf("late drain changed the score: displayed=%d missed=%d", s.Displayed(), s.Missed())
+	}
+}
+
+func TestVsyncAllocatesNothing(t *testing.T) {
+	eng := sim.New(1)
+	cpu := sched.New(eng)
+	d := New(eng, cpu, 64, 48, 60)
+	d.VsyncIRQCost = 5 * time.Microsecond
+	d.Attach("v", core.NewQueue(4), time.Second/30, 0)
+	period := time.Second / 60
+	eng.RunFor(2 * period)
+	if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(period) }); allocs > 0 {
+		t.Fatalf("a vsync tick allocates %.1f objects, want 0", allocs)
+	}
+	if d.Vsyncs() < 100 {
+		t.Fatalf("only %d vsyncs ran", d.Vsyncs())
 	}
 }

@@ -144,7 +144,10 @@ func (h *Host) handleIP(b []byte) {
 		}
 		switch e.Type {
 		case icmp.TypeEchoRequest:
-			h.sendICMP(ih.Src, icmp.Echo{Type: icmp.TypeEchoReply, ID: e.ID, Seq: e.Seq}, body[icmp.HeaderLen:])
+			data := body[icmp.HeaderLen:]
+			m := newTx(len(data))
+			copy(m.Bytes(), data)
+			h.sendICMP(ih.Src, icmp.Echo{Type: icmp.TypeEchoReply, ID: e.ID, Seq: e.Seq}, m)
 		case icmp.TypeEchoReply:
 			h.EchoReplies++
 			if h.OnEchoReply != nil {
@@ -186,7 +189,8 @@ func (h *Host) Resolve(dst inet.Addr, fn func(netdev.MAC)) {
 
 func (h *Host) transmitARP(dst inet.Addr, q *arpQuery) {
 	q.tries++
-	req := make([]byte, 28)
+	m := newARP()
+	req := m.Bytes()
 	binary.BigEndian.PutUint16(req[0:2], 1)
 	binary.BigEndian.PutUint16(req[2:4], 0x0800)
 	req[4], req[5] = 6, 4
@@ -194,7 +198,7 @@ func (h *Host) transmitARP(dst inet.Addr, q *arpQuery) {
 	copy(req[8:14], h.Dev.Addr[:])
 	copy(req[14:18], h.Addr[:])
 	copy(req[24:28], dst[:])
-	h.sendFrame(netdev.Broadcast, inet.EtherTypeARP, req)
+	h.sendFrame(netdev.Broadcast, inet.EtherTypeARP, m)
 	if q.tries >= h.ARPRetries {
 		q.timer = h.eng.After(q.timeout, func() {
 			if h.arpPending[dst] == q {
@@ -211,6 +215,10 @@ func (h *Host) transmitARP(dst inet.Addr, q *arpQuery) {
 	})
 	q.timeout *= 2
 }
+
+// newARP returns a zeroed 28-byte ARP packet with room for the Ethernet
+// header.
+func newARP() *msg.Msg { return msg.NewWithHeadroom(eth.HeaderLen, 28) }
 
 func (h *Host) handleARP(b []byte) {
 	if len(b) < 28 {
@@ -234,7 +242,8 @@ func (h *Host) handleARP(b []byte) {
 		}
 	}
 	if op == 1 && targetIP == h.Addr {
-		rep := make([]byte, 28)
+		m := newARP()
+		rep := m.Bytes()
 		binary.BigEndian.PutUint16(rep[0:2], 1)
 		binary.BigEndian.PutUint16(rep[2:4], 0x0800)
 		rep[4], rep[5] = 6, 4
@@ -243,70 +252,90 @@ func (h *Host) handleARP(b []byte) {
 		copy(rep[14:18], h.Addr[:])
 		copy(rep[18:24], senderMAC[:])
 		copy(rep[24:28], senderIP[:])
-		h.sendFrame(senderMAC, inet.EtherTypeARP, rep)
+		h.sendFrame(senderMAC, inet.EtherTypeARP, m)
 	}
 }
+
+// txHeadroom fits every header a host pushes in front of a transport
+// payload: Ethernet, IP, and UDP or ICMP (both 8 bytes).
+const txHeadroom = eth.HeaderLen + ip.HeaderLen + udp.HeaderLen
+
+// newTx returns a zeroed transport payload of size bytes with room for the
+// headers, so each layer below pushes its header in place: one buffer per
+// packet, never a per-layer copy.
+func newTx(size int) *msg.Msg { return msg.NewWithHeadroom(txHeadroom, size) }
 
 // SendFrame transmits a raw Ethernet payload (tests use it to inject
 // hand-built packets such as IP fragments).
 func (h *Host) SendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
-	h.sendFrame(dst, etherType, payload)
-}
-
-func (h *Host) sendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
 	m := msg.NewWithHeadroom(eth.HeaderLen, len(payload))
 	copy(m.Bytes(), payload)
+	h.sendFrame(dst, etherType, m)
+}
+
+// sendFrame pushes the Ethernet header onto m and hands it to the NIC,
+// which takes ownership.
+func (h *Host) sendFrame(dst netdev.MAC, etherType uint16, m *msg.Msg) {
 	eth.Header{Dst: dst, Src: h.Dev.Addr, Type: etherType}.Put(m.Push(eth.HeaderLen))
 	h.Dev.Transmit(dst, m)
 }
 
-// sendIP wraps body in an IP header and transmits it (resolving via ARP).
-func (h *Host) sendIP(dst inet.Addr, proto uint8, body []byte) {
-	h.Resolve(dst, func(mac netdev.MAC) {
-		h.ipID++
-		pkt := make([]byte, ip.HeaderLen+len(body))
-		ih := ip.Header{
-			TotalLen: uint16(len(pkt)),
-			ID:       h.ipID,
-			TTL:      64,
-			Proto:    proto,
-			Src:      h.Addr,
-			Dst:      dst,
-		}
-		ih.Put(pkt[:ip.HeaderLen])
-		copy(pkt[ip.HeaderLen:], body)
-		h.sendFrame(mac, inet.EtherTypeIP, pkt)
-	})
+// sendIP pushes an IP header onto the datagram body m and transmits it,
+// resolving dst via ARP first unless the cache already knows it.
+func (h *Host) sendIP(dst inet.Addr, proto uint8, m *msg.Msg) {
+	if mac, ok := h.arpCache[dst]; ok {
+		h.transmitIP(mac, dst, proto, m)
+		return
+	}
+	h.Resolve(dst, func(mac netdev.MAC) { h.transmitIP(mac, dst, proto, m) })
+}
+
+func (h *Host) transmitIP(mac netdev.MAC, dst inet.Addr, proto uint8, m *msg.Msg) {
+	h.ipID++
+	ip.Header{
+		TotalLen: uint16(ip.HeaderLen + m.Len()),
+		ID:       h.ipID,
+		TTL:      64,
+		Proto:    proto,
+		Src:      h.Addr,
+		Dst:      dst,
+	}.Put(m.Push(ip.HeaderLen))
+	h.sendFrame(mac, inet.EtherTypeIP, m)
 }
 
 // SendUDP transmits one datagram.
 func (h *Host) SendUDP(dst inet.Addr, dstPort, srcPort uint16, payload []byte) {
-	dg := make([]byte, udp.HeaderLen+len(payload))
-	uh := udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(len(dg))}
-	uh.Put(dg[:udp.HeaderLen])
-	copy(dg[udp.HeaderLen:], payload)
+	m := newTx(len(payload))
+	copy(m.Bytes(), payload)
+	h.sendUDP(dst, dstPort, srcPort, m)
+}
+
+// sendUDP pushes a UDP header onto the payload m and transmits it.
+func (h *Host) sendUDP(dst inet.Addr, dstPort, srcPort uint16, m *msg.Msg) {
+	b := m.Push(udp.HeaderLen)
+	udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(m.Len())}.Put(b)
 	if h.UDPChecksum {
-		ck := inet.ChecksumPseudo(h.Addr, dst, inet.ProtoUDP, dg)
+		ck := inet.ChecksumPseudo(h.Addr, dst, inet.ProtoUDP, m.Bytes())
 		if ck == 0 {
 			ck = 0xffff
 		}
-		binary.BigEndian.PutUint16(dg[6:8], ck)
+		binary.BigEndian.PutUint16(b[6:8], ck)
 	}
 	h.UDPSent++
-	h.sendIP(dst, inet.ProtoUDP, dg)
+	h.sendIP(dst, inet.ProtoUDP, m)
 }
 
 // SendEcho transmits one ICMP echo request with a payload of size bytes.
 func (h *Host) SendEcho(dst inet.Addr, id, seq uint16, size int) {
 	h.EchoSent++
-	h.sendICMP(dst, icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: seq}, make([]byte, size))
+	h.sendICMP(dst, icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: seq}, newTx(size))
 }
 
-func (h *Host) sendICMP(dst inet.Addr, e icmp.Echo, payload []byte) {
-	body := make([]byte, icmp.HeaderLen+len(payload))
-	copy(body[icmp.HeaderLen:], payload)
-	e.Put(body[:icmp.HeaderLen], body[icmp.HeaderLen:])
-	h.sendIP(dst, inet.ProtoICMP, body)
+// sendICMP pushes an ICMP echo header onto the payload m and transmits it.
+func (h *Host) sendICMP(dst inet.Addr, e icmp.Echo, m *msg.Msg) {
+	payload := m.Bytes()
+	e.Put(m.Push(icmp.HeaderLen), payload)
+	h.sendIP(dst, inet.ProtoICMP, m)
 }
 
 // Flood sends ICMP echo requests at a fixed rate — the reproduction of

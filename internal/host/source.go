@@ -65,7 +65,7 @@ type SourceConfig struct {
 	// Prepared, when set, supplies the packet stream directly and skips
 	// preparation; Clip/CostOnly/PayloadBudget/Seed are ignored. The scale
 	// experiments share one PrepareClip result across 10^5 sources — the
-	// templates are immutable (sendPacket copies into a fresh payload), so
+	// templates are immutable (sendPacket copies each into a fresh frame), so
 	// sharing is safe even across cluster shards.
 	Prepared *Prepared
 }
@@ -118,13 +118,16 @@ type Source struct {
 	dst     inet.Addr
 	dstPort uint16
 
-	packets  [][]byte // marshalled ALF packets, in order
-	frameOf  []int    // frame index of each packet
-	next     int
-	seq      uint32
-	win      uint32
-	started  sim.Time
-	waitTick *sim.Event
+	packets [][]byte // marshalled ALF packets, in order
+	frameOf []int    // frame index of each packet
+	next    int
+	seq     uint32
+	win     uint32
+	started sim.Time
+	// waitEv is the source's one wait event, re-armed with Reset: a pacing
+	// wake-up, or a window probe when waitProbe is set.
+	waitEv    *sim.Event
+	waitProbe bool
 
 	done   bool
 	doneAt sim.Time
@@ -434,14 +437,15 @@ func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 		sub = 0
 	}
 	alf := s.packets[idx]
-	payload := make([]byte, mflow.HeaderLen+len(alf))
-	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(payload[:mflow.HeaderLen])
-	copy(payload[mflow.HeaderLen:], alf)
+	m := newTx(mflow.HeaderLen + len(alf))
+	b := m.Bytes()
+	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(b[:mflow.HeaderLen])
+	copy(b[mflow.HeaderLen:], alf)
 	h, port := s.h, s.cfg.SrcPort
 	if len(s.subs) > 0 {
 		h, port = s.subs[sub].h, s.subs[sub].port
 	}
-	h.SendUDP(s.dst, s.dstPort, port, payload)
+	h.sendUDP(s.dst, s.dstPort, port, m)
 	s.PacketsSent++
 	return sub
 }
@@ -460,10 +464,7 @@ func (s *Source) trySend() {
 			due := s.started.Add(time.Duration(s.frameOf[s.next]) * time.Second / time.Duration(fps))
 			now := s.h.eng.Now()
 			if now < due {
-				if s.waitTick != nil {
-					s.waitTick.Cancel()
-				}
-				s.waitTick = s.h.eng.At(due, s.trySend)
+				s.armWait(due, false)
 				return
 			}
 		}
@@ -491,18 +492,32 @@ func (s *Source) trySend() {
 		// the probe tail-drops and nothing of value is lost. Shed runs
 		// don't stall the probe loop: early-discarded packets still
 		// advance the advertised window (mflow.NoteShed).
-		if s.waitTick != nil {
-			s.waitTick.Cancel()
-		}
-		s.waitTick = s.h.eng.After(s.cfg.RTOMin, func() {
-			if s.done {
-				return
-			}
-			if s.seq+1 > s.win && s.next > 0 {
-				s.Probes++
-				s.sendPacket(s.seq, s.next-1, true)
-			}
-			s.trySend() // re-arms the probe while still blocked
-		})
+		s.armWait(s.h.eng.Now().Add(s.cfg.RTOMin), true)
 	}
+}
+
+// armWait (re)schedules the wait event at t; Reset makes re-arming a
+// pending wait the same as canceling it and scheduling a new one.
+func (s *Source) armWait(t sim.Time, probe bool) {
+	s.waitProbe = probe
+	if s.waitEv == nil {
+		s.waitEv = s.h.eng.At(t, s.onWait)
+		return
+	}
+	s.h.eng.Reset(s.waitEv, t)
+}
+
+func (s *Source) onWait() {
+	if !s.waitProbe {
+		s.trySend()
+		return
+	}
+	if s.done {
+		return
+	}
+	if s.seq+1 > s.win && s.next > 0 {
+		s.Probes++
+		s.sendPacket(s.seq, s.next-1, true)
+	}
+	s.trySend() // re-arms the probe while still blocked
 }

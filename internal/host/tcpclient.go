@@ -145,12 +145,13 @@ func (c *TCPConn) sendSeg(seg clientSeg, withAck bool) {
 	if withAck {
 		h.Flags |= tcp.FlagACK
 	}
-	buf := make([]byte, tcp.HeaderLen+len(seg.data))
+	m := newTx(tcp.HeaderLen + len(seg.data))
+	buf := m.Bytes()
 	h.Put(buf)
 	copy(buf[tcp.HeaderLen:], seg.data)
 	ck := inet.ChecksumPseudo(c.h.Addr, c.raddr, inet.ProtoTCP, buf)
 	binary.BigEndian.PutUint16(buf[16:18], ck)
-	c.h.sendIP(c.raddr, inet.ProtoTCP, buf)
+	c.h.sendIP(c.raddr, inet.ProtoTCP, m)
 }
 
 func (c *TCPConn) sendAck() {

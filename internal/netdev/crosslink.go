@@ -107,6 +107,7 @@ func NewDeviceOn(l *Link, addr MAC, cpu *sched.Sched, eng *sim.Engine) *Device {
 		panic(fmt.Sprintf("netdev: duplicate MAC %s on link", addr))
 	}
 	d := &Device{Addr: addr, link: l, eng: eng, cpu: cpu, side: side}
+	d.rxOne = d.receiveParked
 	h.dev = d
 	l.devs[addr] = d
 	l.order = append(l.order, d)

@@ -71,6 +71,10 @@ type Link struct {
 	down      bool
 	downDrops int64
 
+	// free recycles delivery records, so a steady frame stream schedules
+	// its arrivals without allocating.
+	free []*delivery
+
 	// cross is set for cluster cross-shard links; see crosslink.go.
 	cross *crossState
 }
@@ -212,7 +216,7 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 		// frames bypass the monotonicity clamp below and do not advance
 		// the watermark.
 		extra := 1 + l.frand.Int63n(int64(fs.plan.ReorderDelay))
-		l.eng.At(arrive.Add(time.Duration(extra)), func() { l.deliver(src, dst, m) })
+		l.deliverAt(arrive.Add(time.Duration(extra)), src, dst, m)
 		return
 	}
 	// A shared serial medium never reorders: jitter may stretch a frame's
@@ -221,9 +225,39 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 		arrive = l.lastArrival
 	}
 	l.lastArrival = arrive
-	l.eng.At(arrive, func() {
-		l.deliver(src, dst, m)
-	})
+	l.deliverAt(arrive, src, dst, m)
+}
+
+// delivery is one frame in flight on a local link, with the event that lands
+// it. Fired records return to the link's free list and their events are
+// re-armed with sim.Engine.Reset, which queues them exactly where a fresh At
+// would: recycling changes no event order.
+type delivery struct {
+	l   *Link
+	src *Device
+	dst MAC
+	m   *msg.Msg
+	ev  *sim.Event
+}
+
+// deliverAt schedules m to reach dst at time t.
+func (l *Link) deliverAt(t sim.Time, src *Device, dst MAC, m *msg.Msg) {
+	if n := len(l.free); n > 0 {
+		d := l.free[n-1]
+		l.free = l.free[:n-1]
+		d.src, d.dst, d.m = src, dst, m
+		l.eng.Reset(d.ev, t)
+		return
+	}
+	d := &delivery{l: l, src: src, dst: dst, m: m}
+	d.ev = l.eng.At(t, d.fire)
+}
+
+func (d *delivery) fire() {
+	l, src, dst, m := d.l, d.src, d.dst, d.m
+	d.src, d.m = nil, nil
+	l.free = append(l.free, d)
+	l.deliver(src, dst, m)
 }
 
 // BusyUntil reports when the medium frees up — the serialization horizon,
@@ -327,6 +361,9 @@ type Device struct {
 	rx, tx, rxDropped int64
 	noPathDrops       int64
 
+	rxParked *msg.Msg // the frame an rx interrupt is handling
+	rxOne    func()   // d.receiveParked, bound once
+
 	// side is the device's half of a cross link (always 0 on local links).
 	side int
 }
@@ -351,6 +388,7 @@ func NewDevice(l *Link, addr MAC, cpu *sched.Sched) *Device {
 		panic(fmt.Sprintf("netdev: duplicate MAC %s on link", addr))
 	}
 	d := &Device{Addr: addr, link: l, eng: l.eng, cpu: cpu}
+	d.rxOne = d.receiveParked
 	l.devs[addr] = d
 	l.order = append(l.order, d)
 	return d
@@ -458,9 +496,19 @@ func (d *Device) receive(m *msg.Msg) {
 		return
 	}
 	if d.cpu != nil {
-		d.cpu.Interrupt(d.RxIRQCost, func() { d.OnReceive(m) })
+		// The handler runs synchronously inside Interrupt, so one parked
+		// frame and a handler bound once replace a closure per frame.
+		d.rxParked = m
+		d.cpu.Interrupt(d.RxIRQCost, d.rxOne)
 		return
 	}
+	d.OnReceive(m)
+}
+
+// receiveParked hands the frame receive parked to OnReceive.
+func (d *Device) receiveParked() {
+	m := d.rxParked
+	d.rxParked = nil
 	d.OnReceive(m)
 }
 

@@ -265,10 +265,8 @@ func (a *Impl) send(al *arpLink, p packet, dst netdev.MAC) {
 	out := msg.NewWithHeadroom(eth.HeaderLen, packetLen)
 	p.put(out.Bytes())
 	out.SetLinkDst([6]byte(dst))
-	if err := al.path.Inject(core.FWD, out); err != nil {
-		out.Free()
-	}
-	al.path.TakeExecCost() // FWD cost folded into the caller's execution
+	_ = al.path.Inject(core.FWD, out) // on error out is already freed
+	al.path.TakeExecCost()            // FWD cost folded into the caller's execution
 }
 
 // Lookup consults the first link's cache without sending anything; the

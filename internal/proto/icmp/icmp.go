@@ -170,9 +170,7 @@ func (c *Impl) process(i *core.NetIface, m *msg.Msg) {
 	Echo{Type: TypeEchoReply, ID: e.ID, Seq: e.Seq}.Put(rb[:HeaderLen], rb[HeaderLen:])
 	reply.SetNetDst([4]byte(src), 0) // per-packet destination for the wide IP stage
 	c.replies++
-	if err := c.path.Inject(core.FWD, reply); err != nil {
-		reply.Free()
-	}
+	_ = c.path.Inject(core.FWD, reply) // on error reply is already freed
 }
 
 // Stats reports (echo requests processed, replies sent).

@@ -6,6 +6,7 @@ package inet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"scout/internal/attr"
 )
@@ -66,20 +67,7 @@ const (
 )
 
 // Checksum computes the Internet checksum (RFC 1071) over b.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
-}
+func Checksum(b []byte) uint16 { return ^fold(sum(0, b)) }
 
 // ChecksumPseudo computes the checksum of payload prefixed by the UDP/TCP
 // pseudo-header. The one's-complement sum is commutative and associative, so
@@ -87,25 +75,51 @@ func Checksum(b []byte) uint16 {
 // prefixed copy of the payload — this runs once per checksummed packet on
 // the data path and must not allocate.
 func ChecksumPseudo(src, dst Addr, proto uint8, payload []byte) uint16 {
-	var sum uint32
-	sum += uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto) // zero byte then proto, as on the wire
-	sum += uint32(uint16(len(payload)))
-	b := payload
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
+	// The zero byte before proto and the 16-bit length ride in the low
+	// half-words; a 32-bit address is two 16-bit words already in place.
+	acc := uint64(src.Uint32()) + uint64(dst.Uint32()) + uint64(proto) + uint64(uint16(len(payload)))
+	return ^fold(sum(acc, payload))
+}
+
+// sum adds b to the one's-complement accumulator acc eight bytes at a time.
+// A big-endian 64-bit load holds four 16-bit words in their wire lanes, and
+// 2^16 ≡ 1 (mod 2^16-1), so the 64-bit sum with end-around carry folds to
+// the same 16-bit result as adding the words one by one (RFC 1071 §2(B)).
+// Every load starts at an even offset, so an odd tail byte lands in the
+// high half of its word, as the RFC pads it.
+func sum(acc uint64, b []byte) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
 	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(tail[:]), c)
 	}
-	return ^uint16(sum)
+	// The last carry goes around once more; if that wraps, acc is 0 and
+	// the second add cannot carry.
+	acc, c = bits.Add64(acc, 0, c)
+	return acc + c
+}
+
+// fold reduces a 64-bit one's-complement accumulator to 16 bits. A nonzero
+// accumulator never folds to zero, so all-zero input keeps its 0x0000 sum
+// and everything else lands in [1, 0xffff], exactly as the 16-bit loop does.
+func fold(acc uint64) uint16 {
+	acc = acc>>32 + acc&0xffffffff
+	acc = acc>>16 + acc&0xffff
+	acc = acc>>16 + acc&0xffff
+	acc = acc>>16 + acc&0xffff
+	return uint16(acc)
 }
 
 // Attribute names used by the networking routers beyond the paper-named

@@ -1,6 +1,8 @@
 package inet
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,5 +94,111 @@ func TestPropertyChecksumSelfVerifies(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChecksum is the RFC 1071 reference: 16-bit words summed one at a
+// time, an odd tail byte padded on the right, carries folded at the end.
+// The word-at-a-time sum must agree with it bit for bit.
+func refChecksum(prefix []uint16, b []byte) uint16 {
+	var sum uint32
+	for _, w := range prefix {
+		sum += uint32(w)
+	}
+	for len(b) >= 2 {
+		sum += uint32(b[0])<<8 | uint32(b[1])
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+func refPseudo(src, dst Addr, proto uint8, payload []byte) uint16 {
+	words := []uint16{
+		uint16(src[0])<<8 | uint16(src[1]), uint16(src[2])<<8 | uint16(src[3]),
+		uint16(dst[0])<<8 | uint16(dst[1]), uint16(dst[2])<<8 | uint16(dst[3]),
+		uint16(proto), uint16(len(payload)),
+	}
+	return refChecksum(words, payload)
+}
+
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(name string, b []byte) {
+		t.Helper()
+		if got, want := Checksum(b), refChecksum(nil, b); got != want {
+			t.Fatalf("%s len %d: Checksum = %#04x, reference %#04x", name, len(b), got, want)
+		}
+		var src, dst Addr
+		rng.Read(src[:])
+		rng.Read(dst[:])
+		proto := uint8(rng.Intn(256))
+		if got, want := ChecksumPseudo(src, dst, proto, b), refPseudo(src, dst, proto, b); got != want {
+			t.Fatalf("%s len %d: ChecksumPseudo = %#04x, reference %#04x", name, len(b), got, want)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(2001))
+		rng.Read(b)
+		check("random", b)
+	}
+	for n := 0; n <= 70; n++ { // every tail shape, odd lengths included
+		b := make([]byte, n)
+		check("zeros", b)
+		for i := range b {
+			b[i] = 0xff
+		}
+		check("ones", b)
+		rng.Read(b)
+		check("short random", b)
+	}
+	for _, n := range []int{1399, 1400, 1401, 1999, 2000} {
+		b := make([]byte, n)
+		check("zeros", b)
+		for i := range b {
+			b[i] = 0xff
+		}
+		check("ones", b)
+	}
+	// The all-zero input keeps its distinct checksum (0xffff), and a sum of
+	// exactly 0xffff complements to 0: the two one's-complement zeros are
+	// not conflated.
+	if ck := Checksum(make([]byte, 64)); ck != 0xffff {
+		t.Fatalf("all-zero checksum = %#04x, want 0xffff", ck)
+	}
+	if ck := Checksum([]byte{0xff, 0xff}); ck != 0 {
+		t.Fatalf("checksum of 0xffff = %#04x, want 0", ck)
+	}
+}
+
+func FuzzChecksumPseudo(f *testing.F) {
+	f.Add([]byte{}, uint32(0), uint32(0), uint8(0))
+	f.Add([]byte{0xab, 0xcd, 0xef}, uint32(0x0a000001), uint32(0x0a000002), uint8(ProtoUDP))
+	f.Add(bytes.Repeat([]byte{0xff}, 1401), uint32(0xffffffff), uint32(0xffffffff), uint8(0xff))
+	f.Fuzz(func(t *testing.T, payload []byte, src, dst uint32, proto uint8) {
+		s, d := AddrFromUint32(src), AddrFromUint32(dst)
+		ck := ChecksumPseudo(s, d, proto, payload)
+		if want := refPseudo(s, d, proto, payload); ck != want {
+			t.Fatalf("ChecksumPseudo = %#04x, reference %#04x", ck, want)
+		}
+		if got, want := Checksum(payload), refChecksum(nil, payload); got != want {
+			t.Fatalf("Checksum = %#04x, reference %#04x", got, want)
+		}
+	})
+}
+
+func BenchmarkChecksumPseudo(b *testing.B) {
+	payload := make([]byte, 1400)
+	rand.New(rand.NewSource(1)).Read(payload)
+	src, dst := IP(10, 0, 0, 1), IP(10, 0, 0, 2)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for b.Loop() {
+		ChecksumPseudo(src, dst, ProtoUDP, payload)
 	}
 }

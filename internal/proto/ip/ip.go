@@ -132,7 +132,7 @@ type Impl struct {
 	PendingLimit int
 
 	router    *core.Router
-	ethImpl   *eth.Impl  // first down link; reassembly redelivers through it
+	ethImpl   *eth.Impl   // first down link; reassembly redelivers through it
 	eths      []*eth.Impl // all down links, connection order (parallel NICs)
 	arpImpl   *arp.Impl
 	byProto   map[uint8]func(m *msg.Msg) (*core.Path, error)
@@ -361,9 +361,7 @@ func (p *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 			queued := sd.pending
 			sd.pending = nil
 			for _, q := range queued {
-				if err := sd.fwd.Deliver(sd.fwd, q); err != nil {
-					q.Free()
-				}
+				_ = sd.fwd.Deliver(sd.fwd, q) // on error the stage freed q
 			}
 		})
 		return nil

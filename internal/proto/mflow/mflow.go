@@ -179,7 +179,7 @@ type flowState struct {
 	winCap    uint32 // advertised-window cap beyond cumSeq (0 = uncapped)
 	recent    map[uint32]bool
 	held      map[uint32]*msg.Msg
-	holdTimer *sim.Event
+	holdTimer *sim.Event // owned: re-armed with Reset, never replaced
 	sinceAck  int
 	lastTS    int64
 	inQ       *core.Queue
@@ -189,7 +189,7 @@ type flowState struct {
 	// all of them, so advertising one queue's free space would overflow
 	// the others.
 	arrivals []*arrival
-	bwdIface  *core.NetIface // primary path's BWD iface: all upward deliveries
+	bwdIface *core.NetIface // primary path's BWD iface: all upward deliveries
 
 	// observer, when set, sees every data arrival with the subpath it came
 	// in on, the sender→receiver one-way latency on the shared virtual
@@ -306,10 +306,7 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 
 // teardown cancels timers and frees buffered packets at path deletion.
 func (fs *flowState) teardown() {
-	if fs.holdTimer != nil {
-		fs.holdTimer.Cancel()
-		fs.holdTimer = nil
-	}
+	fs.stopHold()
 	if fs.rtoTimer != nil {
 		fs.rtoTimer.Cancel()
 		fs.rtoTimer = nil
@@ -497,18 +494,26 @@ func (fs *flowState) drainHeld() {
 // striping, where the hold buffer is almost never empty.
 func (fs *flowState) rearmHold() {
 	if len(fs.held) == 0 {
-		if fs.holdTimer != nil {
-			fs.holdTimer.Cancel()
-			fs.holdTimer = nil
-		}
+		fs.stopHold()
 		return
 	}
-	if fs.holdTimer == nil || fs.holdSeq != fs.cumSeq {
-		if fs.holdTimer != nil {
-			fs.holdTimer.Cancel()
-		}
+	if !fs.holdTimer.Scheduled() || fs.holdSeq != fs.cumSeq {
 		fs.holdSeq = fs.cumSeq
-		fs.holdTimer = fs.impl.eng.After(fs.impl.HoldTimeout, fs.onHoldTimeout)
+		// One owned timer per flow: Reset of a pending timer is Cancel
+		// followed by a fresh After, without the garbage.
+		at := fs.impl.eng.Now().Add(fs.impl.HoldTimeout)
+		if fs.holdTimer == nil {
+			fs.holdTimer = fs.impl.eng.At(at, fs.onHoldTimeout)
+		} else {
+			fs.impl.eng.Reset(fs.holdTimer, at)
+		}
+	}
+}
+
+// stopHold disarms the hold timer; the event stays owned for the next arm.
+func (fs *flowState) stopHold() {
+	if fs.holdTimer != nil {
+		fs.holdTimer.Cancel()
 	}
 }
 
@@ -518,7 +523,6 @@ func (fs *flowState) rearmHold() {
 // timeout must out-wait that — and flushing the whole buffer would turn
 // one unlucky packet into a burst of application-visible gaps).
 func (fs *flowState) onHoldTimeout() {
-	fs.holdTimer = nil
 	if len(fs.held) == 0 {
 		return
 	}
@@ -556,10 +560,7 @@ func (fs *flowState) flushHeld() {
 		fs.stats.Delivered++
 		_ = fs.bwdIface.DeliverNext(m) // on error the upper stage freed m
 	}
-	if fs.holdTimer != nil {
-		fs.holdTimer.Cancel()
-		fs.holdTimer = nil
-	}
+	fs.stopHold()
 }
 
 // markDelivered records an arrival-order delivery and advances the
@@ -633,9 +634,9 @@ func (fs *flowState) sendAck(i *core.NetIface) {
 	}
 	Header{Kind: KindAck, Seq: fs.cumSeq, Win: win, TS: fs.lastTS}.Put(ack.Bytes())
 	fs.stats.AcksSent++
-	if err := i.DeliverBack(ack); err != nil {
-		ack.Free()
-	}
+	// On error the stage that failed (IP with a full ARP queue, say) has
+	// already freed the ack.
+	_ = i.DeliverBack(ack)
 }
 
 // Readvertise sends one unsolicited window advertisement down p's chain
@@ -717,9 +718,7 @@ func (fs *flowState) retransmit(u *unackedPkt) {
 	if fs.fwdIface.Path() != nil {
 		fs.fwdIface.Path().ChargeExec(fs.impl.PerPacketCost)
 	}
-	if err := fs.fwdIface.DeliverNext(m); err != nil {
-		m.Free()
-	}
+	_ = fs.fwdIface.DeliverNext(m) // on error the lower stage freed m
 }
 
 // rto returns the current retransmission timeout: twice the smoothed RTT,

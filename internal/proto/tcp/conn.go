@@ -246,9 +246,7 @@ func (c *conn) notify(ev Event) {
 	}
 	m := msg.New(nil)
 	m.Tag = ev
-	if err := bwd.DeliverNext(m); err != nil {
-		m.Free()
-	}
+	_ = bwd.DeliverNext(m) // on error m is already freed
 }
 
 // deliverUp passes payload bytes to the router above.
@@ -258,9 +256,7 @@ func (c *conn) deliverUp(m *msg.Msg) {
 		m.Free()
 		return
 	}
-	if err := bwd.DeliverNext(m); err != nil {
-		m.Free()
-	}
+	_ = bwd.DeliverNext(m) // on error m is already freed
 }
 
 // --- the two path interfaces ---

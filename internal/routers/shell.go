@@ -119,9 +119,7 @@ func (sh *ShellImpl) handle(m *msg.Msg) {
 	out := msg.NewWithHeadroom(80, len(reply))
 	copy(out.Bytes(), reply)
 	out.SetNetDst([4]byte(from.RemoteAddr), from.RemotePort)
-	if err := sh.path.Inject(core.FWD, out); err != nil {
-		out.Free()
-	}
+	_ = sh.path.Inject(core.FWD, out) // on error out is already freed
 }
 
 // Execute runs one shell command on behalf of a requester and returns the

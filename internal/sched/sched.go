@@ -203,8 +203,11 @@ type Sched struct {
 	policies map[string]*policyState
 	order    []*policyState
 
-	busy       bool
-	current    *Thread
+	busy    bool
+	current *Thread
+	// completion is the scheduler's one completion event, created on the
+	// first dispatch and re-armed with sim.Engine.Reset ever after: each
+	// execution and each interrupt that stretches it moves the same entry.
 	completion *sim.Event
 	completeAt sim.Time
 	onComplete func()
@@ -311,6 +314,8 @@ func (s *Sched) maybeDispatch() {
 		s.watchdog.noteDispatch(t, s.eng.Now())
 	}
 
+	// An interrupt taken inside the body stretches the execution from here.
+	s.completeAt = s.eng.Now()
 	cpu, complete := t.body(t)
 	if cpu < 0 {
 		cpu = 0
@@ -323,9 +328,18 @@ func (s *Sched) maybeDispatch() {
 	}
 	s.curStart = s.eng.Now()
 	s.curCharged = cpu
-	s.completeAt = s.eng.Now().Add(cpu)
+	s.completeAt = s.completeAt.Add(cpu)
 	s.onComplete = complete
-	s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+	s.armCompletion()
+}
+
+// armCompletion (re)schedules the completion event at completeAt.
+func (s *Sched) armCompletion() {
+	if s.completion == nil {
+		s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+		return
+	}
+	s.eng.Reset(s.completion, s.completeAt)
 }
 
 // finishCurrent retires the running execution (or a bare interrupt-only
@@ -336,7 +350,6 @@ func (s *Sched) finishCurrent() {
 	start, charged := s.curStart, s.curCharged
 	s.busy = false
 	s.current = nil
-	s.completion = nil
 	s.onComplete = nil
 	s.curCharged = 0
 
@@ -373,11 +386,8 @@ func (s *Sched) Interrupt(cost time.Duration, fn func()) {
 		fn()
 	}
 	if s.busy {
-		if s.completion != nil {
-			s.completion.Cancel()
-		}
 		s.completeAt = s.completeAt.Add(cost)
-		s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+		s.armCompletion()
 		return
 	}
 	if cost == 0 {
@@ -391,7 +401,7 @@ func (s *Sched) Interrupt(cost time.Duration, fn func()) {
 	s.current = nil
 	s.onComplete = nil
 	s.completeAt = s.eng.Now().Add(cost)
-	s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+	s.armCompletion()
 }
 
 // ServeIncoming creates and wires the standard worker thread for a path:

@@ -201,6 +201,22 @@ func TestInterruptExtendsRunningExecution(t *testing.T) {
 	}
 }
 
+// An interrupt raised inside a thread body (a transmit charging TxCost, say)
+// steals from that execution: it completes once, cost later.
+func TestInterruptInsideBodyExtendsExecution(t *testing.T) {
+	eng, s := newSched()
+	var done []sim.Time
+	th := s.NewThread("t", PolicyRR, func(*Thread) (time.Duration, func()) {
+		s.Interrupt(2*time.Millisecond, nil)
+		return 10 * time.Millisecond, func() { done = append(done, eng.Now()) }
+	})
+	eng.At(sim.Time(time.Millisecond), func() { th.Wake() })
+	eng.Run()
+	if len(done) != 1 || done[0] != sim.Time(13*time.Millisecond) {
+		t.Fatalf("completions at %v, want exactly one at 13ms (1ms + 10ms + 2ms stolen)", done)
+	}
+}
+
 func TestInterruptOnIdleCPUDelaysDispatch(t *testing.T) {
 	eng, s := newSched()
 	var started sim.Time
@@ -390,4 +406,25 @@ func (stubImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Sta
 }
 func (stubImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
 	return nil, core.ErrNoPath
+}
+
+// The scheduler owns one completion event and re-arms it: neither an
+// interrupt stretching a busy CPU nor a steady dispatch loop allocates.
+func TestCompletionRearmAllocatesNothing(t *testing.T) {
+	eng, s := newSched()
+	busy := s.NewThread("busy", PolicyRR, func(*Thread) (time.Duration, func()) { return time.Hour, nil })
+	busy.Wake()
+	if allocs := testing.AllocsPerRun(100, func() { s.Interrupt(time.Microsecond, nil) }); allocs > 0 {
+		t.Fatalf("Interrupt on a busy CPU allocates %.1f objects, want 0", allocs)
+	}
+
+	eng, s = newSched()
+	var loop *Thread
+	again := func() { loop.Wake() }
+	loop = s.NewThread("loop", PolicyRR, func(*Thread) (time.Duration, func()) { return time.Microsecond, again })
+	loop.Wake()
+	eng.Step()
+	if allocs := testing.AllocsPerRun(100, func() { eng.Step() }); allocs > 0 {
+		t.Fatalf("a dispatch-complete cycle allocates %.1f objects, want 0", allocs)
+	}
 }

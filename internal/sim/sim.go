@@ -51,6 +51,11 @@ type Event struct {
 // When reports the virtual time at which the event will fire.
 func (ev *Event) When() Time { return ev.when }
 
+// Scheduled reports whether ev is queued to fire: armed, and neither fired
+// nor canceled since. A nil event is not scheduled, so an owner that creates
+// its event lazily can ask before the first arm.
+func (ev *Event) Scheduled() bool { return ev != nil && ev.index >= 0 && !ev.canceled }
+
 // Cancel prevents the event from firing. Canceling an event that already
 // fired or was already canceled is a no-op. Canceled events stay queued and
 // are discarded lazily; the engine compacts the heap when they outnumber the
@@ -161,16 +166,33 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	return ev
 }
 
-// rearm re-queues a fired (dequeued) event at time t with a fresh sequence
-// number, reusing the allocation. Internal: only the Ticker re-arms its
-// private event, so the entry cannot be live in the heap here.
-func (e *Engine) rearm(ev *Event, t Time) {
+// Reset re-queues ev to fire at time t with a fresh sequence number, reusing
+// its allocation and callback. ev may be pending, canceled (queued or
+// discarded) or already fired; in every case it then pops exactly where a
+// new event from At(t, fn) would have, so Reset is Cancel followed by At
+// without the garbage. Only the event's owner may Reset it: a caller that
+// was handed the *Event to Cancel must not revive it.
+//
+//scout:assert an event re-armed on a foreign engine would corrupt both heaps; fail at the owner's call site
+func (e *Engine) Reset(ev *Event, t Time) {
+	if ev.eng != e {
+		panic("sim: Reset of another engine's event")
+	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev.when, ev.seq, ev.canceled = t, e.seq, false
-	heap.Push(&e.events, ev)
+	ev.when, ev.seq = t, e.seq
+	if ev.index < 0 {
+		ev.canceled = false
+		heap.Push(&e.events, ev)
+		return
+	}
+	if ev.canceled {
+		ev.canceled = false
+		e.canceled--
+	}
+	heap.Fix(&e.events, ev.index)
 }
 
 // After schedules fn to run d from now. Negative d behaves like d == 0.
@@ -318,7 +340,7 @@ func (e *Engine) Tick(period time.Duration, fn func()) *Ticker {
 		panic("sim: Tick with non-positive period")
 	}
 	t := &Ticker{e: e, period: period, fn: fn}
-	// One closure and one Event for the ticker's whole life: tick re-arms the
+	// One closure and one Event for the ticker's whole life: tick Resets the
 	// same entry, so a display vsync at 10^5 paths costs no steady-state
 	// allocation.
 	t.ev = e.After(period, t.tick)
@@ -331,7 +353,7 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stop {
-		t.e.rearm(t.ev, t.e.now.Add(t.period))
+		t.e.Reset(t.ev, t.e.now.Add(t.period))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -379,6 +380,141 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
+		e.Step()
+	}
+}
+
+// resetModel drives one engine through a random schedule of owned events
+// that are re-armed either with Reset or with Cancel followed by At. Two
+// models fed the same seed must be indistinguishable from outside.
+type resetModel struct {
+	e     *Engine
+	reset bool
+	rng   *rand.Rand
+	evs   []*Event
+	log   []int
+}
+
+func newResetModel(reset bool, seed int64, slots int) *resetModel {
+	return &resetModel{e: New(1), reset: reset, rng: rand.New(rand.NewSource(seed)), evs: make([]*Event, slots)}
+}
+
+func (m *resetModel) arm(slot int) {
+	// Few distinct offsets over many slots: most firings tie on time and
+	// are ordered by sequence number alone, and re-arms often catch their
+	// event still queued (pending or canceled).
+	t := m.e.Now().Add(time.Duration(m.rng.Intn(6)) * time.Millisecond)
+	if ev := m.evs[slot]; ev != nil && m.reset {
+		m.e.Reset(ev, t)
+		return
+	}
+	if ev := m.evs[slot]; ev != nil {
+		ev.Cancel()
+	}
+	m.evs[slot] = m.e.At(t, func() { m.fire(slot) })
+}
+
+// op applies one random action: re-arm a slot, cancel it, or nothing.
+func (m *resetModel) op() {
+	slot := m.rng.Intn(len(m.evs))
+	switch m.rng.Intn(4) {
+	case 0, 1:
+		m.arm(slot)
+	case 2:
+		if ev := m.evs[slot]; ev != nil {
+			ev.Cancel()
+		}
+	}
+}
+
+func (m *resetModel) fire(slot int) {
+	m.log = append(m.log, slot)
+	for n := m.rng.Intn(3); n > 0; n-- { // re-arm from inside events too
+		m.op()
+	}
+}
+
+func TestResetMatchesCancelThenAt(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		a, b := newResetModel(true, seed, 24), newResetModel(false, seed, 24)
+		for step := 0; step < 2000; step++ {
+			for n := step % 3; n >= 0; n-- {
+				a.op()
+				b.op()
+			}
+			ra, rb := a.e.Step(), b.e.Step()
+			if ra != rb {
+				t.Fatalf("seed %d step %d: Step = %v under Reset, %v under Cancel+At", seed, step, ra, rb)
+			}
+			if a.e.Pending() != b.e.Pending() || a.e.EventsRun() != b.e.EventsRun() || a.e.Now() != b.e.Now() {
+				t.Fatalf("seed %d step %d: Reset (pending %d, run %d, now %v) != Cancel+At (pending %d, run %d, now %v)",
+					seed, step, a.e.Pending(), a.e.EventsRun(), a.e.Now(), b.e.Pending(), b.e.EventsRun(), b.e.Now())
+			}
+		}
+		if len(a.log) == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
+		}
+		for i := range a.log {
+			if i >= len(b.log) || a.log[i] != b.log[i] {
+				t.Fatalf("seed %d: pop order diverges at firing %d", seed, i)
+			}
+		}
+		if len(a.log) != len(b.log) {
+			t.Fatalf("seed %d: %d firings under Reset, %d under Cancel+At", seed, len(a.log), len(b.log))
+		}
+	}
+}
+
+func TestResetAllocatesNothing(t *testing.T) {
+	e := New(1)
+	ev := e.After(time.Millisecond, func() {})
+	e.After(2*time.Millisecond, func() {})
+	// Pending: the entry moves within the heap.
+	if allocs := testing.AllocsPerRun(100, func() { e.Reset(ev, e.Now().Add(time.Millisecond)) }); allocs > 0 {
+		t.Fatalf("Reset of a pending event allocates %.1f objects, want 0", allocs)
+	}
+	// Fired: the entry goes back into the heap.
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Reset(ev, e.Now())
+		e.Step()
+	}); allocs > 0 {
+		t.Fatalf("Reset of a fired event allocates %.1f objects, want 0", allocs)
+	}
+}
+
+func TestResetRevivesCanceledEvent(t *testing.T) {
+	e := New(1)
+	n := 0
+	ev := e.After(time.Millisecond, func() { n++ })
+	ev.Cancel()
+	e.Reset(ev, Time(2*time.Millisecond))
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after reviving a canceled event, want 1", e.Pending())
+	}
+	e.Run()
+	if n != 1 || e.Now() != Time(2*time.Millisecond) {
+		t.Fatalf("fired %d times, clock %v; want once at 2ms", n, e.Now())
+	}
+}
+
+func TestResetForeignEventPanics(t *testing.T) {
+	a, b := New(1), New(2)
+	ev := a.After(time.Millisecond, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset accepted another engine's event")
+		}
+	}()
+	b.Reset(ev, 0)
+}
+
+func BenchmarkReset(b *testing.B) {
+	e := New(1)
+	ev := e.After(time.Microsecond, func() {})
+	e.Step()
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Reset(ev, e.Now().Add(time.Microsecond))
 		e.Step()
 	}
 }

@@ -246,12 +246,8 @@ func (hc *httpConn) respond(code int, ctype string, body []byte) {
 	copy(out.Bytes(), hdr)
 	copy(out.Bytes()[len(hdr):], body)
 	hc.impl.BytesOut += int64(out.Len())
-	if err := hc.path.Inject(core.FWD, out); err != nil {
-		out.Free()
-	}
+	_ = hc.path.Inject(core.FWD, out) // on error out is already freed
 	closeMsg := msg.New(nil)
 	closeMsg.Tag = tcp.EventClose
-	if err := hc.path.Inject(core.FWD, closeMsg); err != nil {
-		closeMsg.Free()
-	}
+	_ = hc.path.Inject(core.FWD, closeMsg) // on error closeMsg is already freed
 }
