@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same steps
-# as `make check`, in the same order, then the tracegate/chaosgate
-# determinism gates and the machine-readable bench artifact.
+# as `make check`, in the same order (build, vet, test, race, lint, then the
+# tracegate/detgate/chaosgate determinism gates), plus the bench artifact.
 
 GO ?= go
 
@@ -14,9 +14,9 @@ BENCHCOUNT ?= 5
 BENCHOUT ?= BENCH_pr10.json
 BENCHBASE ?= BENCH_pr7.json
 
-.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate mpgate miggate scalegate
+.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate detgate chaosgate mpgate miggate scalegate
 
-check: build vet test race lint mpgate miggate scalegate
+check: build vet test race lint tracegate detgate chaosgate
 
 build:
 	$(GO) build ./...
@@ -75,51 +75,38 @@ tracegate:
 	echo "tracegate: E10 exports byte-identical across same-seed runs"; \
 	rc=$$?; rm -rf $$dir; exit $$rc
 
-# mpgate is the multipath determinism gate: two same-seed E13 smoke runs
-# (the full k x policy grid with a mid-run link fault) must print
-# byte-identical reports.
-mpgate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e13 -e13-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e13 -e13-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "mpgate: E13 multipath report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
+# detgate is the cross-process determinism gate. Each experiment below runs
+# twice, as two separate processes, and the two reports must be
+# byte-identical once wall-clock lines are dropped:
+#   - E9 loss: the sender's retransmit path (fast retransmit, RTO backoff).
+#   - E12 smoke: the {fast path, burst} 2x2 grid, whose runner also exits
+#     non-zero unless all four cells give identical outputs.
+#   - E13 smoke: the k x policy multipath grid with a mid-run link fault.
+#   - E14 smoke: a link killed mid-clip and the path respliced onto the
+#     spare NIC; the runner enforces one migration within budget, zero
+#     incomplete frames and clean audits.
+#   - E15 smoke: the sharded kernel; the runner requires identical digests,
+#     totals and event counts across shard counts.
+#   - E11 overload smoke: chaos, watchdog and graceful degradation.
+# A run that exits non-zero fails the gate: its report is written to a file
+# before filtering, so no pipe hides the exit status.
+detgate:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o $$dir/mpegbench ./cmd/mpegbench && \
+	for run in 'loss' 'e12 -e12-smoke' 'e13 -e13-smoke' 'e14 -e14-smoke' 'e15 -e15-smoke' 'overload -overload-smoke'; do \
+		for side in a b; do \
+			$$dir/mpegbench -run $$run > $$dir/$$side.raw || exit 1; \
+			grep -v wall-clock $$dir/$$side.raw > $$dir/$$side.txt; \
+		done; \
+		cmp $$dir/a.txt $$dir/b.txt || exit 1; \
+		echo "detgate: $$run report byte-identical across same-seed runs"; \
+	done
 
-# miggate is the live-migration gate: two same-seed E14 smoke runs (link
-# killed mid-clip, path respliced onto the spare NIC) must print
-# byte-identical reports, and the run itself must pass E14's internal gate
-# (one migration within budget, zero incomplete frames, clean audits —
-# mpegbench exits non-zero otherwise).
-miggate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e14 -e14-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e14 -e14-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "miggate: E14 migration report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
-
-# scalegate is the sharded-kernel determinism gate, two layers deep: each
-# E15 smoke run internally requires identical digests/totals/event counts
-# across shard counts (mpegbench exits non-zero on divergence), and two
-# same-seed runs must print byte-identical reports (wall-clock rate lines
-# excluded — they legitimately vary).
-scalegate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e15 -e15-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e15 -e15-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "scalegate: E15 sharded report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
+# The per-experiment gate names CI and the docs used before detgate existed.
+mpgate miggate scalegate: detgate
 
 # chaosgate is the overload-survival gate: the seeded chaos suite (fault
-# plane, watchdog, degradation, lifecycle audits) must be race-clean, and two
-# same-seed E11 smoke runs must print byte-identical reports.
-chaosgate:
+# plane, watchdog, degradation, lifecycle audits) must be race-clean, and
+# detgate's same-seed E11 runs must print byte-identical reports.
+chaosgate: detgate
 	$(GO) test -race ./internal/chaos ./internal/exp -run 'Chaos|E11|Inflate|Stall|Squeeze|Poison|Audit|Destroy'
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run overload -overload-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run overload -overload-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "chaosgate: E11 overload report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc

@@ -127,7 +127,7 @@ func main() {
 	}
 	fl, _ := mflow.StatsOf(p, "MFLOW")
 	fmt.Printf("MFLOW: delivered=%d gaps=%d acks=%d (source RTT≈%v)\n",
-		fl.Delivered, fl.Gaps, fl.AcksSent, vs.RTTEWMA)
+		fl.Delivered, fl.Gaps, fl.AcksSent, vs.RTT())
 	pk, fr, errs, _ := routers.MPEGStats(p, "MPEG")
 	fmt.Printf("MPEG: packets=%d frames=%d errors=%d\n", pk, fr, errs)
 	fmt.Printf("path: CPU=%v EWMA=%v/execution mem=%dB\n", p.CPUTime(), p.ExecEWMA(), p.MemoryBytes())

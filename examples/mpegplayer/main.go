@@ -73,7 +73,7 @@ func main() {
 	sink := k.Display.Sink(p, "DISPLAY")
 	fmt.Printf("displayed %d frames, missed %d deadlines\n", sink.Displayed(), sink.Missed())
 	fl, _ := mflow.StatsOf(p, "MFLOW")
-	fmt.Printf("MFLOW: delivered %d packets, %d acks, RTT≈%v\n", fl.Delivered, fl.AcksSent, vs.RTTEWMA)
+	fmt.Printf("MFLOW: delivered %d packets, %d acks, RTT≈%v\n", fl.Delivered, fl.AcksSent, vs.RTT())
 	pk, fr, _, _ := routers.MPEGStats(p, "MPEG")
 	fmt.Printf("MPEG: %d packets → %d frames; path CPU %v (EWMA %v/execution)\n",
 		pk, fr, p.CPUTime(), p.ExecEWMA())

@@ -107,11 +107,11 @@ func DefaultConfig() Config {
 
 // Kernel is a booted Scout appliance.
 type Kernel struct {
-	Cfg   Config
-	Eng   *sim.Engine
-	CPU   *sched.Sched
-	Dev   *netdev.Device
-	Link  *netdev.Link
+	Cfg  Config
+	Eng  *sim.Engine
+	CPU  *sched.Sched
+	Dev  *netdev.Device
+	Link *netdev.Link
 	// Devs and Links list every NIC/wire in link order; index 0 is
 	// Dev/Link. ETHs are the matching ETH router implementations.
 	Devs  []*netdev.Device
@@ -296,9 +296,7 @@ func (k *Kernel) CreateVideoPath(a *VideoAttrs) (*core.Path, uint16, error) {
 		k.InstrumentPath(p, label)
 	}
 	if deg, _ := p.Attrs.Bool(attr.Degrade); deg {
-		routers.AttachDegrader(k.Eng, p, routers.DegradeConfig{
-			GOP: p.Attrs.IntDefault(attr.MPEGGOP, 15),
-		})
+		routers.AttachDegrader(k.Eng, p, p.Attrs.IntDefault(attr.MPEGGOP, 15))
 	}
 	lport, _ := p.Attrs.Int(inet.AttrLocalPort)
 	return p, uint16(lport), nil

@@ -182,12 +182,12 @@ func TestMFLOWDeliveryAndRTT(t *testing.T) {
 	if st.Gaps != 0 || st.OldDrops != 0 {
 		t.Fatalf("lossless link produced gaps=%d old=%d", st.Gaps, st.OldDrops)
 	}
-	if src.RTTEWMA <= 0 {
+	if src.RTT() <= 0 {
 		t.Fatal("source measured no RTT from echoed timestamps")
 	}
 	// One-way delay is 200µs; RTT must be at least 400µs.
-	if src.RTTEWMA < 400*time.Microsecond {
-		t.Fatalf("RTT %v below physical floor", src.RTTEWMA)
+	if src.RTT() < 400*time.Microsecond {
+		t.Fatalf("RTT %v below physical floor", src.RTT())
 	}
 }
 

@@ -186,21 +186,66 @@ func TestSourceBackpressureAckClamp(t *testing.T) {
 	eng.RunFor(100 * time.Millisecond) // 5 packets out, blocked
 	ack := func(win uint32) {
 		var pl [mflow.HeaderLen]byte
-		mflow.Header{Kind: mflow.KindAck, Seq: s.seq, Win: win}.Put(pl[:])
+		mflow.Header{Kind: mflow.KindAck, Seq: s.snd.Seq(), Win: win}.Put(pl[:])
 		s.onAck(inet.Participants{}, pl[:])
 	}
 	// A shrinking advertisement takes effect (latest wins) but never drops
 	// below what was already sent — in-flight packets cannot be recalled.
 	ack(2)
-	if s.win != 5 {
-		t.Fatalf("win = %d after shrink below sent, want clamp to seq (5)", s.win)
+	if s.snd.Window() != 5 {
+		t.Fatalf("win = %d after shrink below sent, want clamp to seq (5)", s.snd.Window())
 	}
 	ack(8)
-	if s.win != 8 {
-		t.Fatalf("win = %d after re-open, want 8", s.win)
+	if s.snd.Window() != 8 {
+		t.Fatalf("win = %d after re-open, want 8", s.snd.Window())
 	}
 	eng.RunFor(10 * time.Millisecond)
-	if s.seq != 8 {
-		t.Fatalf("seq = %d after window re-opened to 8, want 8 sent", s.seq)
+	if s.snd.Seq() != 8 {
+		t.Fatalf("seq = %d after window re-opened to 8, want 8 sent", s.snd.Seq())
+	}
+}
+
+func TestFailoverFromRTOKeepsOneTimerChain(t *testing.T) {
+	// A failover triggered by the first RTO re-drives the unacked buffer
+	// from inside the timeout handler. The retransmission timer must stay
+	// one event: with no receiver, the RTOs over a silent interval follow
+	// a single backoff chain (RTOMin, doubling, capped at RTOMax).
+	eng, a, b := twoHosts(t)
+	_ = b // no MFLOW receiver: no acks ever
+	clip := mpeg.ClipSpec{Name: "T", Frames: 30, W: 64, H: 48, FPS: 30, GOP: 5, AvgPBits: 8000, Jitter: 0}
+	s, err := NewSource(a, SourceConfig{Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true,
+		InitialWindow: 5, Retransmit: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddSubflow(a, 7001)
+	active, failovers := 0, 0
+	s.Dispatch = func(seq uint32, retx bool) int { return active }
+	s.OnSubLoss = func(sub int) {
+		if active == 0 {
+			active = 1
+			failovers++
+			s.RedispatchUnacked()
+		}
+	}
+	eng.At(0, func() { s.Start(b.Addr, 8000) })
+	eng.RunFor(mflow.RTOMin + 10*time.Millisecond) // first RTO fired, re-sends drained
+	if s.RTOs != 1 || failovers != 1 {
+		t.Fatalf("RTOs = %d, failovers = %d after the first timeout, want 1 and 1", s.RTOs, failovers)
+	}
+	if n := eng.Pending(); n != 1 {
+		t.Fatalf("%d events pending after the failover, want the one RTO", n)
+	}
+
+	const silent = 3 * time.Second
+	eng.RunUntil(sim.Time(silent))
+	want, at, rto := 0, sim.Time(0), mflow.RTOMin
+	for at.Add(rto) <= sim.Time(silent) {
+		at = at.Add(rto)
+		want++
+		rto = min(2*rto, mflow.RTOMax)
+	}
+	if s.RTOs != int64(want) {
+		t.Fatalf("RTOs = %d over %v of silence, want %d from one backoff chain", s.RTOs, silent, want)
 	}
 }

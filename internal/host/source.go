@@ -18,9 +18,6 @@ type SourceConfig struct {
 	// CostOnly sends trace packets (valid ALF headers, synthetic payload
 	// bytes sized from the clip trace) instead of really encoded video.
 	CostOnly bool
-	// RealFrames bounds how many frames are encoded in real mode (0 = the
-	// whole clip; encoding is expensive, tests use short prefixes).
-	RealFrames int
 	// QScale and SearchRange configure the real encoder.
 	QScale, SearchRange int
 
@@ -34,15 +31,11 @@ type SourceConfig struct {
 	// advertisement arrives (default 16 packets).
 	InitialWindow uint32
 
-	// Retransmit enables sender-side retransmission: unacknowledged
-	// packets are buffered and re-sent on timeout (exponential backoff,
-	// MaxTries cap) or after three duplicate cumulative acks.
+	// Retransmit enables sender-side retransmission (mflow.Sender):
+	// unacknowledged packets are buffered and re-sent on timeout
+	// (exponential backoff, mflow.MaxTries cap) or after three duplicate
+	// cumulative acks.
 	Retransmit bool
-	// RTOMin and RTOMax bound the retransmission timeout (defaults 50ms
-	// and 500ms).
-	RTOMin, RTOMax time.Duration
-	// MaxTries caps transmissions per packet (default 8).
-	MaxTries int
 
 	// PayloadBudget bounds ALF packet payloads (default: MTU-fitting).
 	PayloadBudget int
@@ -77,9 +70,6 @@ type Prepared struct {
 	frameOf []int
 }
 
-// NumPackets reports the prepared stream's packet count.
-func (p *Prepared) NumPackets() int { return len(p.packets) }
-
 // PrepareClip builds the cost-model packet stream for clip exactly as a
 // CostOnly NewSource would.
 func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
@@ -95,14 +85,17 @@ func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
 }
 
 // Source streams one clip to a Scout MPEG path, honouring MFLOW's window
-// advertisements and measuring RTT from echoed timestamps (§4.2).
+// advertisements and measuring RTT from echoed timestamps (§4.2). The
+// transport decisions (window, RTT, what to re-send or give up on, when the
+// RTO fires) are its mflow.Sender's; the Source owns what is the host's:
+// the prepared packets, pacing, probes, subflows and transmission.
 type Source struct {
 	h   *Host
 	cfg SourceConfig
 
-	// Multipath sender state: subflow i sends from subs[i].h/subs[i].port
-	// (empty = single-path, the Source's own host and SrcPort). Dispatch
-	// picks the subflow per packet; when nil everything rides subflow 0.
+	// Subflow i sends from subs[i].h/subs[i].port; subflow 0, the only one
+	// of a single-path source, is the Source's own host and SrcPort.
+	// Dispatch picks the subflow per packet; when nil, subflow 0 is used.
 	subs []subflow
 
 	// Dispatch, when set, picks the subflow for each outbound packet —
@@ -118,28 +111,24 @@ type Source struct {
 	dst     inet.Addr
 	dstPort uint16
 
-	packets [][]byte // marshalled ALF packets, in order
-	frameOf []int    // frame index of each packet
-	next    int
-	seq     uint32
-	win     uint32
+	// packets[seq-1] is the marshalled ALF packet MFLOW numbers seq, so the
+	// sender's sequence number doubles as the send cursor; frameOf maps it
+	// to its frame.
+	packets [][]byte
+	frameOf []int
+	// snd tags each unacked packet with the subflow of its latest
+	// transmission, for OnSubAck and OnSubLoss.
+	snd     mflow.Sender
 	started sim.Time
 	// waitEv is the source's one wait event, re-armed with Reset: a pacing
 	// wake-up, or a window probe when waitProbe is set.
 	waitEv    *sim.Event
 	waitProbe bool
+	// rtoEv is the one RTO event, re-armed with Reset to snd's deadline.
+	rtoEv *sim.Event
 
 	done   bool
 	doneAt sim.Time
-
-	// Retransmission state: sent-but-unacknowledged packets by index into
-	// packets, trimmed by cumulative acks.
-	unacked  []srcUnacked
-	lastAck  uint32
-	dupAcks  int
-	frSeq    uint32 // highest seq fast-retransmitted: one per hole
-	rtoTimer *sim.Event
-	rtoShift uint
 
 	AcksReceived    int64
 	PacketsSent     int64
@@ -148,14 +137,6 @@ type Source struct {
 	FastRetransmits int64
 	RTOs            int64
 	Abandoned       int64
-	RTTEWMA         time.Duration
-}
-
-type srcUnacked struct {
-	seq     uint32
-	idx     int // index into packets (payload is rebuilt on re-send)
-	tries   int
-	lastSub int // subflow of the most recent transmission
 }
 
 // subflow is one sender endpoint of a multipath source.
@@ -172,29 +153,15 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 	if cfg.InitialWindow == 0 {
 		cfg.InitialWindow = 16
 	}
-	if cfg.RTOMin == 0 {
-		// Above the ack jitter of a decode-bound receiver (~20ms/frame):
-		// fast retransmit handles prompt recovery, the RTO is a backstop.
-		cfg.RTOMin = 50 * time.Millisecond
-	}
-	if cfg.RTOMax == 0 {
-		cfg.RTOMax = 500 * time.Millisecond
-	}
-	if cfg.MaxTries == 0 {
-		cfg.MaxTries = 8
-	}
-	s := &Source{h: h, cfg: cfg, win: cfg.InitialWindow}
+	s := &Source{h: h, cfg: cfg, subs: []subflow{{h: h, port: cfg.SrcPort}},
+		snd: mflow.NewSender(cfg.InitialWindow, cfg.Retransmit, cfg.Backpressure)}
 	clip := cfg.Clip
-	if cfg.Prepared != nil {
-		s.packets, s.frameOf = cfg.Prepared.packets, cfg.Prepared.frameOf
-	} else if cfg.CostOnly {
-		mbw, mbh := clip.W/16, clip.H/16
-		for fno, info := range clip.Trace(cfg.Seed) {
-			for _, p := range mpeg.TracePackets(uint32(fno), info, mbw, mbh, cfg.PayloadBudget) {
-				s.packets = append(s.packets, p.Marshal())
-				s.frameOf = append(s.frameOf, fno)
-			}
-		}
+	p := cfg.Prepared
+	if p == nil && cfg.CostOnly {
+		p = PrepareClip(clip, cfg.PayloadBudget, cfg.Seed)
+	}
+	if p != nil {
+		s.packets, s.frameOf = p.packets, p.frameOf
 	} else {
 		qs := cfg.QScale
 		if qs == 0 {
@@ -212,11 +179,7 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 			return nil, err
 		}
 		scene := mpeg.NewScene(clip.Scene)
-		n := clip.Frames
-		if cfg.RealFrames > 0 && cfg.RealFrames < n {
-			n = cfg.RealFrames
-		}
-		for fno := 0; fno < n; fno++ {
+		for fno := 0; fno < clip.Frames; fno++ {
 			pkts, _ := enc.Encode(scene.Frame(fno))
 			for _, p := range pkts {
 				s.packets = append(s.packets, p.Marshal())
@@ -242,24 +205,11 @@ func (s *Source) NumFrames() int {
 func (s *Source) Done() (bool, sim.Time) { return s.done, s.doneAt }
 
 // AddSubflow registers one more sender endpoint for multipath striping and
-// returns its subflow index. The first call promotes the Source's own
-// host/SrcPort to subflow 0. Each subflow's acks return to its own port, so
+// returns its subflow index. Each subflow's acks return to its own port, so
 // the handlers installed by Start cover every endpoint; call before Start.
 func (s *Source) AddSubflow(h *Host, srcPort uint16) int {
-	if len(s.subs) == 0 {
-		s.subs = append(s.subs, subflow{h: s.h, port: s.cfg.SrcPort})
-	}
 	s.subs = append(s.subs, subflow{h: h, port: srcPort})
 	return len(s.subs) - 1
-}
-
-// subflowCount reports how many subflows the source sends on (1 when
-// single-path).
-func (s *Source) subflowCount() int {
-	if len(s.subs) == 0 {
-		return 1
-	}
-	return len(s.subs)
 }
 
 // Start begins streaming to the Scout host's video port.
@@ -267,15 +217,14 @@ func (s *Source) Start(dst inet.Addr, dstPort uint16) {
 	s.dst = dst
 	s.dstPort = dstPort
 	s.started = s.h.eng.Now()
-	if len(s.subs) == 0 {
-		s.h.OnUDP(s.cfg.SrcPort, s.onAck)
-	} else {
-		for _, sf := range s.subs {
-			sf.h.OnUDP(sf.port, s.onAck)
-		}
+	for _, sf := range s.subs {
+		sf.h.OnUDP(sf.port, s.onAck)
 	}
 	s.trySend()
 }
+
+// RTT reports the smoothed round-trip time measured from echoed timestamps.
+func (s *Source) RTT() time.Duration { return s.snd.SRTT() }
 
 // onAck processes an MFLOW window advertisement.
 func (s *Source) onAck(src inet.Participants, payload []byte) {
@@ -284,76 +233,30 @@ func (s *Source) onAck(src inet.Participants, payload []byte) {
 		return
 	}
 	s.AcksReceived++
-	if s.cfg.Backpressure {
-		// Latest advertisement wins, but never below what was already sent:
-		// in-flight packets cannot be recalled, so clamping to s.seq keeps
-		// the send loop's invariant (seq+1 <= win resumes exactly where the
-		// receiver re-opens the window).
-		if h.Win >= s.seq {
-			s.win = h.Win
-		} else {
-			s.win = s.seq
+	acked, resend := s.snd.Ack(h, s.h.eng.Now())
+	if len(acked) > 0 {
+		if s.OnSubAck != nil {
+			for _, u := range acked {
+				s.OnSubAck(u.Tag)
+			}
 		}
-	} else if h.Win > s.win {
-		s.win = h.Win
+		s.syncRTO()
 	}
-	if h.TS > 0 {
-		rtt := s.h.eng.Now().Sub(sim.Time(h.TS))
-		if s.RTTEWMA == 0 {
-			s.RTTEWMA = rtt
-		} else {
-			s.RTTEWMA += (rtt - s.RTTEWMA) / 8
+	if resend != nil {
+		s.FastRetransmits++
+		if s.OnSubLoss != nil {
+			s.OnSubLoss(resend.Tag)
 		}
-	}
-	if s.cfg.Retransmit {
-		s.processAck(h)
+		s.resend(resend)
 	}
 	s.trySend()
 }
 
-// processAck trims the unacked buffer by the cumulative acknowledgment and
-// fast-retransmits on three duplicate acks.
-func (s *Source) processAck(h mflow.Header) {
-	acked := false
-	for len(s.unacked) > 0 && s.unacked[0].seq <= h.Seq {
-		if s.OnSubAck != nil {
-			s.OnSubAck(s.unacked[0].lastSub)
-		}
-		s.unacked = s.unacked[1:]
-		acked = true
-	}
-	switch {
-	case acked:
-		s.rtoShift = 0
-		s.dupAcks = 0
-		s.lastAck = h.Seq
-		s.rearmRTO()
-	case h.Seq == s.lastAck && len(s.unacked) > 0:
-		s.dupAcks++
-		if s.dupAcks >= 3 && s.unacked[0].seq > s.frSeq {
-			// The packet right after the cumulative ack is missing while
-			// later data keeps arriving: re-send it now, not at RTO — but
-			// only once per hole; further duplicates are echoes of data
-			// already in flight (a lost re-send falls back to the RTO).
-			s.frSeq = s.unacked[0].seq
-			s.FastRetransmits++
-			if s.OnSubLoss != nil {
-				s.OnSubLoss(s.unacked[0].lastSub)
-			}
-			s.resend(&s.unacked[0])
-		}
-	default:
-		s.lastAck = h.Seq
-		s.dupAcks = 0
-	}
-}
-
 // resend re-sends one unacknowledged packet with a fresh timestamp; the
 // dispatch policy may move it to a different subflow than the original.
-func (s *Source) resend(u *srcUnacked) {
-	u.tries++
+func (s *Source) resend(u *mflow.Unacked) {
 	s.Retransmits++
-	u.lastSub = s.sendPacket(u.seq, u.idx, true)
+	u.Tag = s.sendPacket(u.Seq, true)
 }
 
 // RedispatchUnacked re-sends every unacknowledged packet immediately, in
@@ -364,88 +267,69 @@ func (s *Source) resend(u *srcUnacked) {
 // each would lose the race against the receiver's hold timeout. Duplicates
 // of packets that did arrive are discarded by the receiver's seq filter.
 func (s *Source) RedispatchUnacked() {
-	if !s.cfg.Retransmit {
-		return
+	unacked := s.snd.Redispatch(s.h.eng.Now())
+	for i := range unacked {
+		s.resend(&unacked[i])
 	}
-	for i := range s.unacked {
-		s.resend(&s.unacked[i])
-	}
-	// Fresh transmissions on (presumably) a fresh path: restart the backoff.
-	s.rtoShift = 0
-	s.rearmRTO()
+	s.syncRTO()
 }
 
-// rto returns the current retransmission timeout: twice the smoothed RTT,
-// clamped to [RTOMin, RTOMax], doubled per back-to-back timeout.
-func (s *Source) rto() time.Duration {
-	rto := 2 * s.RTTEWMA
-	if rto < s.cfg.RTOMin {
-		rto = s.cfg.RTOMin
-	}
-	rto <<= s.rtoShift
-	if rto > s.cfg.RTOMax {
-		rto = s.cfg.RTOMax
-	}
-	return rto
-}
-
-func (s *Source) armRTO() {
-	s.rtoTimer = s.h.eng.After(s.rto(), s.onRTO)
-}
-
-func (s *Source) rearmRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
-	}
-	if len(s.unacked) > 0 {
-		s.armRTO()
-	}
-}
-
+// onRTO fires the retransmission timeout. The loss is reported before the
+// sender backs off, so a failover the report triggers (RedispatchUnacked)
+// happens first and the expired packet's re-send follows it.
 func (s *Source) onRTO() {
-	s.rtoTimer = nil
-	if len(s.unacked) == 0 {
+	unacked := s.snd.Unacked()
+	if len(unacked) == 0 {
 		return
 	}
 	s.RTOs++
-	u := &s.unacked[0]
 	if s.OnSubLoss != nil {
-		s.OnSubLoss(u.lastSub)
+		s.OnSubLoss(unacked[0].Tag)
 	}
-	if u.tries >= s.cfg.MaxTries {
+	u, abandoned := s.snd.Timeout(s.h.eng.Now())
+	if abandoned {
 		s.Abandoned++
-		s.unacked = s.unacked[1:]
 	} else {
 		s.resend(u)
-		s.rtoShift++
 	}
-	if len(s.unacked) > 0 {
-		s.armRTO()
+	s.syncRTO()
+}
+
+// syncRTO moves the one RTO event to the sender's deadline, or disarms it.
+// Reset keeps the event's place among simultaneous events exactly where a
+// fresh After would have put it.
+func (s *Source) syncRTO() {
+	at, armed := s.snd.Deadline()
+	switch {
+	case !armed:
+		if s.rtoEv != nil {
+			s.rtoEv.Cancel()
+		}
+	case s.rtoEv == nil:
+		s.rtoEv = s.h.eng.At(at, s.onRTO)
+	default:
+		s.h.eng.Reset(s.rtoEv, at)
 	}
 }
 
-// sendPacket wraps one prepared ALF packet in an MFLOW data header (fresh
+// sendPacket wraps prepared packet seq in an MFLOW data header (fresh
 // timestamp), asks the dispatch policy which subflow carries it, and ships
 // it to the Scout host. Returns the subflow used.
-func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
+func (s *Source) sendPacket(seq uint32, retx bool) int {
 	sub := 0
 	if s.Dispatch != nil {
 		sub = s.Dispatch(seq, retx)
 	}
-	if sub < 0 || sub >= s.subflowCount() {
+	if sub < 0 || sub >= len(s.subs) {
 		sub = 0
 	}
-	alf := s.packets[idx]
+	alf := s.packets[seq-1]
 	m := newTx(mflow.HeaderLen + len(alf))
 	b := m.Bytes()
 	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(b[:mflow.HeaderLen])
 	copy(b[mflow.HeaderLen:], alf)
-	h, port := s.h, s.cfg.SrcPort
-	if len(s.subs) > 0 {
-		h, port = s.subs[sub].h, s.subs[sub].port
-	}
-	h.sendUDP(s.dst, s.dstPort, port, m)
+	sf := s.subs[sub]
+	sf.h.sendUDP(s.dst, s.dstPort, sf.port, m)
 	s.PacketsSent++
 	return sub
 }
@@ -459,31 +343,27 @@ func (s *Source) trySend() {
 	if fps == 0 {
 		fps = s.cfg.Clip.FPS
 	}
-	for s.next < len(s.packets) && (s.cfg.Live || s.seq+1 <= s.win) {
+	for int(s.snd.Seq()) < len(s.packets) && (s.cfg.Live || s.snd.CanSend()) {
+		seq := s.snd.Seq() + 1
 		if !s.cfg.MaxRate {
-			due := s.started.Add(time.Duration(s.frameOf[s.next]) * time.Second / time.Duration(fps))
+			due := s.started.Add(time.Duration(s.frameOf[seq-1]) * time.Second / time.Duration(fps))
 			now := s.h.eng.Now()
 			if now < due {
 				s.armWait(due, false)
 				return
 			}
 		}
-		s.seq++
-		sub := s.sendPacket(s.seq, s.next, false)
-		if s.cfg.Retransmit {
-			s.unacked = append(s.unacked, srcUnacked{seq: s.seq, idx: s.next, tries: 1, lastSub: sub})
-			if s.rtoTimer == nil {
-				s.armRTO()
-			}
+		sub := s.sendPacket(seq, false)
+		if s.snd.Sent(s.h.eng.Now(), sub) {
+			s.syncRTO()
 		}
-		s.next++
 	}
-	if s.next == len(s.packets) {
+	if int(s.snd.Seq()) == len(s.packets) {
 		s.done = true
 		s.doneAt = s.h.eng.Now()
 		return
 	}
-	if s.cfg.Backpressure && s.seq+1 > s.win {
+	if s.cfg.Backpressure && !s.snd.CanSend() {
 		// Window closed under backpressure. The receiver acks only on
 		// arrivals, so a fully blocked sender must probe (TCP's persist
 		// timer): re-send the last packet as a duplicate. If the receiver
@@ -492,7 +372,7 @@ func (s *Source) trySend() {
 		// the probe tail-drops and nothing of value is lost. Shed runs
 		// don't stall the probe loop: early-discarded packets still
 		// advance the advertised window (mflow.NoteShed).
-		s.armWait(s.h.eng.Now().Add(s.cfg.RTOMin), true)
+		s.armWait(s.h.eng.Now().Add(mflow.RTOMin), true)
 	}
 }
 
@@ -515,9 +395,9 @@ func (s *Source) onWait() {
 	if s.done {
 		return
 	}
-	if s.seq+1 > s.win && s.next > 0 {
+	if seq := s.snd.Seq(); !s.snd.CanSend() && seq > 0 {
 		s.Probes++
-		s.sendPacket(s.seq, s.next-1, true)
+		s.sendPacket(seq, true)
 	}
 	s.trySend() // re-arms the probe while still blocked
 }

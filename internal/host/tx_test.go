@@ -107,7 +107,7 @@ func TestDataPacketWireBytesMatchCopyingPath(t *testing.T) {
 	}
 	for idx := 0; idx < n; idx++ {
 		r.eng.RunFor(time.Duration(idx+1) * time.Microsecond) // vary the timestamp
-		r.src.sendPacket(uint32(idx+1), idx, false)
+		r.src.sendPacket(uint32(idx+1), false)
 	}
 	r.eng.Run()
 	if len(r.frames) != n {
@@ -136,8 +136,8 @@ func TestDataPacketAllocations(t *testing.T) {
 	r.keep = false
 	seq := uint32(0)
 	allocs := testing.AllocsPerRun(200, func() {
-		seq++
-		r.src.sendPacket(seq, int(seq)%r.src.NumPackets(), false)
+		seq = seq%uint32(r.src.NumPackets()) + 1
+		r.src.sendPacket(seq, false)
 		r.eng.Run()
 	})
 	if allocs > 3 {

@@ -10,9 +10,12 @@
 // window distinguishes true duplicates from reordered late originals. The
 // reliable mode adds loss tolerance on both sides: the receiver resequences
 // out-of-order data (holding it briefly for a missing predecessor) and acks
-// cumulatively, while the sender keeps a window-bounded buffer of
-// unacknowledged packets and retransmits on timeout (exponential backoff,
-// capped tries) or after three duplicate acks.
+// cumulatively, while the sender (Sender, driven by the video source) keeps
+// a window-bounded buffer of unacknowledged packets and retransmits on
+// timeout (exponential backoff, capped tries) or after three duplicate acks.
+//
+// The appliance only receives MFLOW, so its stage is receiver-only: an ack
+// arriving at it is freed.
 package mflow
 
 import (
@@ -82,7 +85,7 @@ type Stats struct {
 	AcksSent    int64
 	HoldFlushes int64 // reliable: hold buffer flushed with holes outstanding
 
-	// Sender side.
+	// Sender side: zero on the appliance, which only receives MFLOW.
 	AcksSeen    int64
 	Retransmits int64 // data packets re-sent (timeout or fast retransmit)
 	RTOs        int64 // retransmission timeouts fired
@@ -98,17 +101,6 @@ type Impl struct {
 	// AckEvery controls how many data arrivals elapse between window
 	// advertisements.
 	AckEvery int
-	// RecentWindow bounds the receiver's duplicate-detection memory (and
-	// the reliable hold buffer), in sequence numbers behind the highest
-	// seen.
-	RecentWindow uint32
-	// HoldTimeout bounds how long a reliable receiver holds out-of-order
-	// packets for a missing predecessor before flushing them upward.
-	HoldTimeout time.Duration
-	// RTOMin and RTOMax bound the sender's retransmission timeout.
-	RTOMin, RTOMax time.Duration
-	// MaxTries caps transmissions per packet before the sender gives up.
-	MaxTries int
 
 	// ackPool recycles the fixed-size ack buffers: acks are the one message
 	// the receive data path originates (one per AckEvery data packets), so
@@ -117,27 +109,26 @@ type Impl struct {
 	ackPool *fbuf.Pool
 }
 
+// Receiver constants.
+const (
+	// recentWindow bounds the receiver's duplicate-detection memory (and the
+	// reliable hold buffer), in sequence numbers behind the highest seen.
+	recentWindow = 256
+	// holdTimeout bounds how long a reliable receiver holds out-of-order
+	// packets for a missing predecessor before flushing them upward. It
+	// out-waits a chain of unlucky retransmissions (lost on the wire, or
+	// dropped at a full input queue the advertised window doesn't reserve
+	// for them): 50+100+200+400ms of RTO backoff still beats 1s.
+	holdTimeout = time.Second
+)
+
 // New returns an MFLOW router.
 func New(eng *sim.Engine) *Impl {
 	return &Impl{
 		eng:           eng,
 		PerPacketCost: time.Microsecond,
 		AckEvery:      1,
-		RecentWindow:  256,
-		// Recovery ordering: fast retransmit (a few packet times) beats the
-		// RTO backstop, which beats the hold flush — so a hole is almost
-		// always repaired before anything is given up on. The hold ceiling
-		// out-waits a chain of unlucky retransmissions (lost on the wire,
-		// or dropped at a full input queue the advertised window doesn't
-		// reserve for them): 50+100+200+400ms of backoff still beats 1s.
-		// The RTO floor sits above the ack jitter a decode-bound path
-		// produces (acks turn around after ~20ms of frame decode), or
-		// every stall would look like a loss.
-		HoldTimeout: time.Second,
-		RTOMin:      50 * time.Millisecond,
-		RTOMax:      500 * time.Millisecond,
-		MaxTries:    8,
-		ackPool:     fbuf.NewPool(HeaderLen, 64, 4, 0),
+		ackPool:       fbuf.NewPool(HeaderLen, 64, 4, 0),
 	}
 }
 
@@ -158,7 +149,7 @@ func (f *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) 
 	return nil, core.ErrNoPath
 }
 
-// flowState is the per-flow receiver/sender state. A single-path flow owns
+// flowState is the per-flow receiver state. A single-path flow owns
 // exactly one; a multipath flow shares one flowState across the primary path
 // and every joined sibling subpath (PA_MPATH_JOIN), which is what gives the
 // flow one sequence space, one hold buffer, and one advertised window no
@@ -176,15 +167,13 @@ type flowState struct {
 	cumSeq    uint32
 	maxSeq    uint32
 	holdSeq   uint32 // cumSeq when the hold timer was armed (which hole it watches)
-	winCap    uint32 // advertised-window cap beyond cumSeq (0 = uncapped)
 	recent    map[uint32]bool
 	held      map[uint32]*msg.Msg
 	holdTimer *sim.Event // owned: re-armed with Reset, never replaced
 	sinceAck  int
 	lastTS    int64
-	inQ       *core.Queue
-	// arrivals lists every subpath's arrival state in join order (the
-	// primary first). The advertised window is bounded by the *tightest*
+	// arrivals lists every subpath's arrival state in join order, the
+	// primary first. The advertised window is bounded by the *tightest*
 	// subpath queue: a striping sender spreads the in-flight window over
 	// all of them, so advertising one queue's free space would overflow
 	// the others.
@@ -197,28 +186,7 @@ type flowState struct {
 	// pathtrace-style quality feed multipath selection policies consume.
 	observer func(sub int, oneWay time.Duration, qdepth int)
 
-	// Sender state.
-	nextOut  uint32
-	unacked  []*unackedPkt
-	sendWin  uint32
-	srtt     time.Duration
-	rtoTimer *sim.Event
-	rtoShift uint
-	lastAck  uint32
-	dupAcks  int
-	frSeq    uint32 // highest seq fast-retransmitted: one per hole
-	fwdIface *core.NetIface
-
 	stats Stats
-}
-
-// unackedPkt is a sent-but-unacknowledged data packet. data holds an
-// independent copy of the MFLOW header plus payload, ready to re-enter the
-// path below the MFLOW stage (downstream stages push their own headers).
-type unackedPkt struct {
-	seq   uint32
-	data  []byte
-	tries int
 }
 
 // arrival identifies which subpath of a flow an MFLOW packet came in on:
@@ -267,16 +235,12 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 	ar := &arrival{sub: a.IntDefault(attr.MPathSub, 0)}
 	fs.arrivals = append(fs.arrivals, ar)
 	s := &core.Stage{Data: fs}
-	fwd := core.NewNetIface(func(i *core.NetIface, m *msg.Msg) error {
-		return fs.output(i, m)
-	})
 	bwd := core.NewNetIface(func(i *core.NetIface, m *msg.Msg) error {
 		return fs.input(i, m, ar)
 	})
-	s.SetIface(core.FWD, fwd)
 	s.SetIface(core.BWD, bwd)
 	if !joined {
-		fs.fwdIface, fs.bwdIface = fwd, bwd
+		fs.bwdIface = bwd
 	}
 	s.Establish = func(s *core.Stage, a *attr.Attrs) error {
 		// The input queue at the device end of this path: for the flow's
@@ -287,9 +251,6 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 			d = core.BWD
 		}
 		ar.inQ = s.Path.Q[core.QIn(d)]
-		if !joined {
-			fs.inQ = ar.inQ
-		}
 		return nil
 	}
 	if !joined {
@@ -304,73 +265,34 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 	return s, &core.NextHop{Router: down.Peer, Service: down.PeerService}, nil
 }
 
-// teardown cancels timers and frees buffered packets at path deletion.
+// teardown cancels the hold timer and frees held packets at path deletion.
 func (fs *flowState) teardown() {
 	fs.stopHold()
-	if fs.rtoTimer != nil {
-		fs.rtoTimer.Cancel()
-		fs.rtoTimer = nil
-	}
 	// Free in sequence order: the msg pool's free list is LIFO, so the order
 	// buffers return to it is observable in later allocations.
+	for _, s := range fs.heldSeqs() {
+		m := fs.held[s]
+		delete(fs.held, s)
+		m.Free()
+	}
+}
+
+// heldSeqs lists the held sequence numbers in ascending order.
+func (fs *flowState) heldSeqs() []uint32 {
 	seqs := make([]uint32, 0, len(fs.held))
 	for s := range fs.held {
 		seqs = append(seqs, s)
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		m := fs.held[s]
-		delete(fs.held, s)
-		m.Free()
-	}
-	fs.unacked = nil
+	return seqs
 }
 
-// output sends a data packet (Scout as MFLOW sender).
-func (fs *flowState) output(i *core.NetIface, m *msg.Msg) error {
-	f := fs.impl
-	i.Path().ChargeExec(f.PerPacketCost)
-	fs.nextOut++
-	h := Header{Kind: KindData, Seq: fs.nextOut, TS: int64(f.eng.Now())}
-	h.Put(m.Push(HeaderLen))
-	if fs.reliable {
-		// Buffer an independent copy for retransmission (the original's
-		// buffer keeps moving down the path and onto the wire).
-		buf := make([]byte, m.Len())
-		copy(buf, m.Bytes())
-		fs.unacked = append(fs.unacked, &unackedPkt{seq: fs.nextOut, data: buf, tries: 1})
-		// The buffer is bounded by the advertised window: the receiver
-		// accepts nothing beyond it, so older copies past the window plus
-		// a minimal initial credit are dead weight.
-		limit := 32
-		if fs.sendWin > fs.ackedUpTo() {
-			limit += int(fs.sendWin - fs.ackedUpTo())
-		}
-		for len(fs.unacked) > limit {
-			fs.unacked[0] = nil
-			fs.unacked = fs.unacked[1:]
-			fs.stats.Abandoned++
-		}
-		if fs.rtoTimer == nil {
-			fs.armRTO()
-		}
-	}
-	return i.DeliverNext(m)
-}
-
-// ackedUpTo returns the highest cumulatively acknowledged sequence number.
-func (fs *flowState) ackedUpTo() uint32 {
-	if len(fs.unacked) > 0 {
-		return fs.unacked[0].seq - 1
-	}
-	return fs.nextOut
-}
-
-// input processes an arriving MFLOW packet: acks feed the sender machinery;
-// data is deduplicated, delivered (resequenced in reliable mode), and
-// acknowledged. i is the arrival subpath's iface — acks turn around on it —
-// while data always climbs the primary's chain (fs.bwdIface); for a
-// single-path flow the two are the same iface.
+// input processes an arriving MFLOW packet: acks are freed (the appliance
+// sends no data to be acknowledged); data is deduplicated, delivered
+// (resequenced in reliable mode), and acknowledged. i is the arrival
+// subpath's iface — acks turn around on it — while data always climbs the
+// primary's chain (fs.bwdIface); for a single-path flow the two are the
+// same iface.
 func (fs *flowState) input(i *core.NetIface, m *msg.Msg, ar *arrival) error {
 	f := fs.impl
 	p := i.Path()
@@ -386,9 +308,6 @@ func (fs *flowState) input(i *core.NetIface, m *msg.Msg, ar *arrival) error {
 		return err
 	}
 	if h.Kind != KindData {
-		if h.Kind == KindAck {
-			fs.senderAck(h)
-		}
 		m.Free()
 		return nil
 	}
@@ -400,16 +319,7 @@ func (fs *flowState) input(i *core.NetIface, m *msg.Msg, ar *arrival) error {
 		fs.observer(ar.sub, f.eng.Now().Sub(sim.Time(h.TS)), depth)
 	}
 	fs.lastTS = h.TS
-	if !fs.started {
-		fs.started = true
-		// Seqs start at 1; a first arrival within the recent window means
-		// the stream started here (tolerate pre-arrival loss), anything
-		// higher means this path joined mid-stream.
-		if h.Seq > f.RecentWindow {
-			fs.cumSeq = h.Seq - 1
-		}
-		fs.maxSeq = fs.cumSeq
-	}
+	fs.start(h.Seq)
 	if h.Seq <= fs.cumSeq || fs.recent[h.Seq] || (fs.held != nil && fs.held[h.Seq] != nil) {
 		// A true duplicate (or older than the dedup window). Still ack:
 		// duplicates usually mean the sender missed our acknowledgment.
@@ -441,11 +351,25 @@ func (fs *flowState) input(i *core.NetIface, m *msg.Msg, ar *arrival) error {
 	return fs.bwdIface.DeliverNext(m)
 }
 
+// start places the cumulative watermark on the flow's first arrival. Seqs
+// start at 1; a first arrival within the recent window means the stream
+// started here (tolerate pre-arrival loss), anything higher means this path
+// joined mid-stream.
+func (fs *flowState) start(seq uint32) {
+	if fs.started {
+		return
+	}
+	fs.started = true
+	if seq > recentWindow {
+		fs.cumSeq = seq - 1
+	}
+	fs.maxSeq = fs.cumSeq
+}
+
 // inputReliable resequences: in-order data flows upward at once (pulling any
 // buffered successors behind it), out-of-order data waits in the hold buffer
-// for its missing predecessor, bounded by HoldTimeout.
+// for its missing predecessor, bounded by holdTimeout.
 func (fs *flowState) inputReliable(i *core.NetIface, h Header, m *msg.Msg) error {
-	f := fs.impl
 	if h.Seq > fs.maxSeq {
 		fs.maxSeq = h.Seq
 	}
@@ -458,7 +382,7 @@ func (fs *flowState) inputReliable(i *core.NetIface, h Header, m *msg.Msg) error
 		return err
 	}
 	fs.held[h.Seq] = m
-	if uint32(len(fs.held)) > f.RecentWindow {
+	if uint32(len(fs.held)) > recentWindow {
 		fs.flushHeld()
 	} else {
 		fs.rearmHold()
@@ -501,7 +425,7 @@ func (fs *flowState) rearmHold() {
 		fs.holdSeq = fs.cumSeq
 		// One owned timer per flow: Reset of a pending timer is Cancel
 		// followed by a fresh After, without the garbage.
-		at := fs.impl.eng.Now().Add(fs.impl.HoldTimeout)
+		at := fs.impl.eng.Now().Add(holdTimeout)
 		if fs.holdTimer == nil {
 			fs.holdTimer = fs.impl.eng.At(at, fs.onHoldTimeout)
 		} else {
@@ -545,12 +469,7 @@ func (fs *flowState) flushHeld() {
 		return
 	}
 	fs.stats.HoldFlushes++
-	seqs := make([]uint32, 0, len(fs.held))
-	for s := range fs.held {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
+	for _, s := range fs.heldSeqs() {
 		m := fs.held[s]
 		delete(fs.held, s)
 		if s > fs.cumSeq+1 {
@@ -572,12 +491,15 @@ func (fs *flowState) markDelivered(seq uint32) {
 		delete(fs.recent, fs.cumSeq+1)
 		fs.cumSeq++
 	}
-	if w := fs.impl.RecentWindow; fs.maxSeq > w && fs.cumSeq < fs.maxSeq-w {
+	if fs.maxSeq > recentWindow && fs.cumSeq < fs.maxSeq-recentWindow {
 		// Bound the dedup memory: anything at or below the new watermark
-		// is treated as old from now on.
-		floor := fs.maxSeq - w
-		for s := fs.cumSeq + 1; s <= floor; s++ {
-			delete(fs.recent, s)
+		// is treated as old from now on. Prune what is remembered, not the
+		// skipped range: one jump can skip up to 2^32 sequence numbers.
+		floor := fs.maxSeq - recentWindow
+		for s := range fs.recent {
+			if s <= floor {
+				delete(fs.recent, s)
+			}
 		}
 		fs.cumSeq = floor
 	}
@@ -608,25 +530,14 @@ func (fs *flowState) sendAck(i *core.NetIface) {
 		// maxSeq only outruns cumSeq across genuine losses.
 		win = fs.cumSeq
 	}
-	if fs.inQ != nil {
-		free := fs.inQ.Free()
+	if primary := fs.arrivals[0].inQ; primary != nil {
+		free := primary.Free()
 		for _, a := range fs.arrivals {
 			if a.inQ != nil && a.inQ.Free() < free {
 				free = a.inQ.Free()
 			}
 		}
 		win += uint32(free)
-	}
-	// Backpressure cap (§4.4 degradation): a degraded receiver narrows the
-	// advertised window so the source slows instead of filling queues with
-	// packets the path will only shed. The cap bounds in-flight data
-	// relative to the highest seq that actually reached this stage
-	// (early-discarded packets never do, so a cumSeq-relative cap would
-	// deadlock behind shed sequence holes).
-	if fs.winCap > 0 {
-		if capped := fs.maxSeq + fs.winCap; capped < win {
-			win = capped
-		}
 	}
 	ack, err := fs.impl.ackPool.Get(HeaderLen)
 	if err != nil { // unlimited pool: only reachable if a limit is set later
@@ -651,11 +562,8 @@ func (f *Impl) Readvertise(p *core.Path, router string) bool {
 		return false
 	}
 	s := p.StageOf(router)
-	if s == nil {
-		return false
-	}
-	fs, ok := s.Data.(*flowState)
-	if !ok {
+	fs := flowOf(s)
+	if fs == nil {
 		return false
 	}
 	i, ok := s.End[core.BWD].(*core.NetIface)
@@ -666,122 +574,24 @@ func (f *Impl) Readvertise(p *core.Path, router string) bool {
 	return true
 }
 
-// senderAck processes a cumulative acknowledgment on the sending side.
-func (fs *flowState) senderAck(h Header) {
-	f := fs.impl
-	fs.stats.AcksSeen++
-	if h.Win > fs.sendWin {
-		fs.sendWin = h.Win
-	}
-	if h.TS > 0 {
-		rtt := f.eng.Now().Sub(sim.Time(h.TS))
-		if fs.srtt == 0 {
-			fs.srtt = rtt
-		} else {
-			fs.srtt += (rtt - fs.srtt) / 8
-		}
-	}
-	acked := false
-	for len(fs.unacked) > 0 && fs.unacked[0].seq <= h.Seq {
-		fs.unacked[0] = nil
-		fs.unacked = fs.unacked[1:]
-		acked = true
-	}
-	switch {
-	case acked:
-		fs.rtoShift = 0
-		fs.dupAcks = 0
-		fs.lastAck = h.Seq
-		fs.rearmRTO()
-	case h.Seq == fs.lastAck && len(fs.unacked) > 0:
-		fs.dupAcks++
-		if fs.dupAcks >= 3 && fs.unacked[0].seq > fs.frSeq {
-			// Three duplicate acks: the packet after the cumulative ack is
-			// missing while later data keeps arriving. Retransmit it once
-			// per hole — further duplicates are echoes of data already in
-			// flight, and a lost retransmission falls back to the RTO.
-			fs.frSeq = fs.unacked[0].seq
-			fs.retransmit(fs.unacked[0])
-		}
-	default:
-		fs.lastAck = h.Seq
-		fs.dupAcks = 0
-	}
-}
-
-// retransmit re-sends one buffered packet down the path.
-func (fs *flowState) retransmit(u *unackedPkt) {
-	u.tries++
-	fs.stats.Retransmits++
-	m := msg.NewWithHeadroom(64, len(u.data))
-	copy(m.Bytes(), u.data)
-	if fs.fwdIface.Path() != nil {
-		fs.fwdIface.Path().ChargeExec(fs.impl.PerPacketCost)
-	}
-	_ = fs.fwdIface.DeliverNext(m) // on error the lower stage freed m
-}
-
-// rto returns the current retransmission timeout: twice the smoothed RTT,
-// clamped to [RTOMin, RTOMax], doubled per back-to-back timeout.
-func (fs *flowState) rto() time.Duration {
-	f := fs.impl
-	rto := 2 * fs.srtt
-	if rto < f.RTOMin {
-		rto = f.RTOMin
-	}
-	rto <<= fs.rtoShift
-	if rto > f.RTOMax {
-		rto = f.RTOMax
-	}
-	return rto
-}
-
-func (fs *flowState) armRTO() {
-	fs.rtoTimer = fs.impl.eng.After(fs.rto(), fs.onRTO)
-}
-
-func (fs *flowState) rearmRTO() {
-	if fs.rtoTimer != nil {
-		fs.rtoTimer.Cancel()
-		fs.rtoTimer = nil
-	}
-	if len(fs.unacked) > 0 {
-		fs.armRTO()
-	}
-}
-
-func (fs *flowState) onRTO() {
-	fs.rtoTimer = nil
-	if len(fs.unacked) == 0 {
-		return
-	}
-	fs.stats.RTOs++
-	u := fs.unacked[0]
-	if u.tries >= fs.impl.MaxTries {
-		fs.stats.Abandoned++
-		fs.unacked[0] = nil
-		fs.unacked = fs.unacked[1:]
-	} else {
-		fs.retransmit(u)
-		fs.rtoShift++
-	}
-	if len(fs.unacked) > 0 {
-		fs.armRTO()
-	}
-}
-
 // StatsOf returns the MFLOW statistics of path p, if it has an MFLOW stage
 // owned by the named router.
 func StatsOf(p *core.Path, routerName string) (Stats, bool) {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return Stats{}, false
-	}
-	fs, ok := s.Data.(*flowState)
-	if !ok {
+	fs := flowOf(p.StageOf(routerName))
+	if fs == nil {
 		return Stats{}, false
 	}
 	return fs.stats, true
+}
+
+// flowOf returns the flow state of stage s, or nil when s is not an MFLOW
+// stage.
+func flowOf(s *core.Stage) *flowState {
+	if s == nil {
+		return nil
+	}
+	fs, _ := s.Data.(*flowState)
+	return fs
 }
 
 // NoteShed informs the path's MFLOW stage that the data packet carrying seq
@@ -794,22 +604,12 @@ func StatsOf(p *core.Path, routerName string) (Stats, bool) {
 // decode, not the header bookkeeping), so the stage charges its per-packet
 // cost and acknowledges on the usual cadence.
 func NoteShed(p *core.Path, routerName string, seq uint32) bool {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return false
-	}
-	fs, ok := s.Data.(*flowState)
-	if !ok {
+	fs := flowOf(p.StageOf(routerName))
+	if fs == nil {
 		return false
 	}
 	p.ChargeExec(fs.impl.PerPacketCost)
-	if !fs.started {
-		fs.started = true
-		if seq > fs.impl.RecentWindow {
-			fs.cumSeq = seq - 1
-		}
-		fs.maxSeq = fs.cumSeq
-	}
+	fs.start(seq)
 	if seq > fs.maxSeq {
 		fs.maxSeq = seq
 	}
@@ -823,24 +623,6 @@ func NoteShed(p *core.Path, routerName string, seq uint32) bool {
 	return true
 }
 
-// SetWindowCap caps the receive window the path's MFLOW stage advertises to
-// cumSeq+cap (0 removes the cap). A backpressure-capable source
-// (host.SourceConfig.Backpressure) honours shrinking advertisements, so a
-// degraded path throttles its sender at the origin instead of dropping the
-// excess after it has crossed the link.
-func SetWindowCap(p *core.Path, routerName string, winCap uint32) bool {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return false
-	}
-	fs, ok := s.Data.(*flowState)
-	if !ok {
-		return false
-	}
-	fs.winCap = winCap
-	return true
-}
-
 // SetObserver installs (or, with nil, removes) the flow's arrival observer:
 // fn sees every data packet with the subpath index it arrived on, the
 // sender→receiver one-way latency measured on the shared virtual clock, and
@@ -848,12 +630,8 @@ func SetWindowCap(p *core.Path, routerName string, winCap uint32) bool {
 // flow, it observes arrivals on all of them — joined subpaths share the
 // flow state. This is the quality feed mpath.PathSet's EWMAs are built on.
 func SetObserver(p *core.Path, routerName string, fn func(sub int, oneWay time.Duration, qdepth int)) bool {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return false
-	}
-	fs, ok := s.Data.(*flowState)
-	if !ok {
+	fs := flowOf(p.StageOf(routerName))
+	if fs == nil {
 		return false
 	}
 	fs.observer = fn

@@ -9,30 +9,14 @@ import (
 	"scout/internal/sim"
 )
 
-// DegradeConfig parameterizes a VideoDegrader.
-type DegradeConfig struct {
-	// GOP is the clip's group-of-pictures length (default 15). The ladder
-	// has GOP-1 rungs: level L sheds the L P frames latest in each GOP.
-	GOP int
-	// Window is the control period over which deadline misses are counted
-	// (default 250ms).
-	Window time.Duration
-	// MissBudget is how many deadline misses per window trigger escalation
-	// (default 2).
-	MissBudget int64
-	// WindowCap, when non-zero, caps the MFLOW advertised window (packets
-	// past the highest arrived seq) while degraded, so a
-	// backpressure-capable source throttles at the origin. Off by default:
-	// early discard leaves holes in the arriving sequence space, so a cap
-	// smaller than a shed run throttles the source below real time and
-	// keeps the ladder engaged after the overload has passed. The path's
-	// input queue already narrows the advertisement naturally as it fills;
-	// use an explicit cap only when the cap exceeds the worst shed run
-	// (roughly packets-per-frame × ladder level).
-	WindowCap uint32
-	// MFLOWRouter names the path's MFLOW stage (default "MFLOW").
-	MFLOWRouter string
-}
+// Degrader constants.
+const (
+	// degradeWindow is the control period over which deadline misses are
+	// counted.
+	degradeWindow = 250 * time.Millisecond
+	// missBudget is how many deadline misses per window trigger escalation.
+	missBudget = 2
+)
 
 // VideoDegrader implements graceful overload degradation for an MPEG path
 // using the ALF property the paper builds the appliance on: every packet
@@ -43,13 +27,13 @@ type DegradeConfig struct {
 // 30fps toward I-frames-only instead of collapsing.
 //
 // Escalation is driven by the scheduler watchdog: the path's deadline-miss
-// counter is sampled every Window; a hot window (>= MissBudget new misses)
-// escalates one rung, a calm window (no new misses) relaxes one. Shed
+// counter is sampled every degradeWindow; a hot window (>= missBudget new
+// misses) escalates one rung, a calm window (no new misses) relaxes one. Shed
 // packets are still reported to the path's MFLOW stage (NoteShed) so the
 // advertised window keeps moving across shed runs and the source returns to
 // full rate as soon as the ladder relaxes.
 type VideoDegrader struct {
-	cfg    DegradeConfig
+	gop    int // the clip's group-of-pictures length
 	p      *core.Path
 	ticker *sim.Ticker
 
@@ -74,24 +58,17 @@ type VideoDegrader struct {
 	Escalations, Relaxations int64
 }
 
-// AttachDegrader installs a degradation controller on an MPEG path. Its
+// AttachDegrader installs a degradation controller on an MPEG path whose
+// clip has the given group-of-pictures length (default 15). The ladder has
+// gop-1 rungs: level L sheds the L P frames latest in each GOP. Its
 // early-discard filter composes with any already installed (decimation):
 // either filter discarding drops the packet. The controller detaches itself
 // (ticker stopped) when the path is destroyed.
-func AttachDegrader(eng *sim.Engine, p *core.Path, cfg DegradeConfig) *VideoDegrader {
-	if cfg.GOP <= 1 {
-		cfg.GOP = 15
+func AttachDegrader(eng *sim.Engine, p *core.Path, gop int) *VideoDegrader {
+	if gop <= 1 {
+		gop = 15
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 250 * time.Millisecond
-	}
-	if cfg.MissBudget <= 0 {
-		cfg.MissBudget = 2
-	}
-	if cfg.MFLOWRouter == "" {
-		cfg.MFLOWRouter = "MFLOW"
-	}
-	d := &VideoDegrader{cfg: cfg, p: p, curFrame: ^uint32(0)}
+	d := &VideoDegrader{gop: gop, p: p, curFrame: ^uint32(0)}
 
 	prev := p.EarlyDiscard
 	p.EarlyDiscard = func(item any) bool {
@@ -101,7 +78,7 @@ func AttachDegrader(eng *sim.Engine, p *core.Path, cfg DegradeConfig) *VideoDegr
 		return d.discard(item)
 	}
 
-	d.ticker = eng.Tick(cfg.Window, d.tick)
+	d.ticker = eng.Tick(degradeWindow, d.tick)
 	degMu.Lock()
 	degByPath[p] = d
 	degMu.Unlock()
@@ -157,18 +134,18 @@ func (d *VideoDegrader) discard(item any) bool {
 		// contiguously — the source paces whole frames).
 		d.curFrame = frameNo
 		d.curShed, d.curRefl = false, false
-		pos := int(frameNo) % d.cfg.GOP
+		pos := int(frameNo) % d.gop
 		if pos != 0 { // I frame: the GOP's anchor, never shed
 			level := d.level
 			q := d.p.Q[core.QInBWD]
-			if r := (d.cfg.GOP - 1) * (4*q.Len() - q.Max()) / q.Max(); r > level {
-				if r > d.cfg.GOP-1 {
-					r = d.cfg.GOP - 1
+			if r := (d.gop - 1) * (4*q.Len() - q.Max()) / q.Max(); r > level {
+				if r > d.gop-1 {
+					r = d.gop - 1
 				}
 				level = r
 			}
-			d.curShed = pos >= d.cfg.GOP-level
-			d.curRefl = d.curShed && pos < d.cfg.GOP-d.level
+			d.curShed = pos >= d.gop-level
+			d.curRefl = d.curShed && pos < d.gop-d.level
 		}
 	}
 	if d.curShed {
@@ -179,7 +156,7 @@ func (d *VideoDegrader) discard(item any) bool {
 		// The seq must still count as arrived for flow control, or the
 		// advertised window stalls behind the shed run and keeps throttling
 		// the source after the overload has passed.
-		mflow.NoteShed(d.p, d.cfg.MFLOWRouter, seq)
+		mflow.NoteShed(d.p, "MFLOW", seq)
 		return true
 	}
 	return false
@@ -189,7 +166,7 @@ func (d *VideoDegrader) discard(item any) bool {
 // raw Ethernet frame through the stacked headers, like DecimationFilter.
 func alfFrameNo(item any) (frameNo, seq uint32, ok bool) {
 	const mfOff = 14 /*eth*/ + 20 /*ip*/ + 8 /*udp*/
-	const off = mfOff + 17 /*mflow*/
+	const off = mfOff + 17                   /*mflow*/
 	m, ok := item.(peeker)
 	if !ok {
 		return 0, 0, false
@@ -207,7 +184,7 @@ type peeker interface {
 	Peek(n int) ([]byte, error)
 }
 
-// tick is the Window-period controller: escalate a rung on a hot window,
+// tick is the per-window controller: escalate a rung on a hot window,
 // relax one on a calm one. Misses alone are not enough to escalate: shedding
 // empties the display pipeline, so the first frames after each shed gap miss
 // their slots no matter how fast the CPU is (the EDF deadline is derived
@@ -221,7 +198,7 @@ func (d *VideoDegrader) tick() {
 	d.lastMisses = misses
 	backlog := d.p.Q[core.QInBWD].Len()
 	switch {
-	case delta >= d.cfg.MissBudget && backlog > 0:
+	case delta >= missBudget && backlog > 0:
 		d.setLevel(d.level + 1)
 	case delta == 0 || backlog == 0:
 		d.setLevel(d.level - 1)
@@ -240,7 +217,7 @@ func (d *VideoDegrader) setLevel(level int) {
 	if level < 0 {
 		level = 0
 	}
-	if top := d.cfg.GOP - 1; level > top {
+	if top := d.gop - 1; level > top {
 		level = top
 	}
 	if level == d.level {
@@ -252,11 +229,4 @@ func (d *VideoDegrader) setLevel(level int) {
 		d.Relaxations++
 	}
 	d.level = level
-	if d.cfg.WindowCap > 0 {
-		if level > 0 {
-			mflow.SetWindowCap(d.p, d.cfg.MFLOWRouter, d.cfg.WindowCap)
-		} else {
-			mflow.SetWindowCap(d.p, d.cfg.MFLOWRouter, 0)
-		}
-	}
 }
